@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release ==="
 cargo build --release
 
+echo "=== benchmark package builds against the library ==="
+# perfbench/ is a detached cargo package (its own [workspace]), so the
+# root build and `cargo test` never compile it; a library API change
+# could otherwise break the benchmark unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== no ignored tests ==="
 # Skipped tests rot silently; this repo forbids #[ignore] outright.
 if grep -rn '#\[ignore' crates/ tests/ --include='*.rs'; then
@@ -75,10 +81,10 @@ echo "=== exporter conformance suite ==="
 # byte-stable; run explicitly so a dropped [[test]] entry fails CI.
 cargo test -q -p mgbr-bench --test obs_export
 
-echo "=== plan round-trip / v1-compatibility suite ==="
-# Plan serialization must round-trip bit-identically, fail closed on
-# corruption, and keep loading MGBRFRZN v1 fixtures; run explicitly so
-# a dropped [[test]] entry fails CI.
+echo "=== plan round-trip / fail-closed artifact suite ==="
+# Plan serialization must round-trip bit-identically and fail closed on
+# every corrupted byte and truncation, standalone and inside MGBRFRZN
+# artifacts; run explicitly so a dropped [[test]] entry fails CI.
 cargo test -q -p mgbr-bench --test plan_roundtrip
 
 echo "=== online-loop unit + property suites ==="

@@ -175,8 +175,8 @@ fn run_serve_leg(
         requests: n_cell,
         served,
         shed,
-        mean_us: m.latency.mean_us(),
-        p99_us: m.latency.percentile_us(0.99),
+        mean_us: m.latency.mean(),
+        p99_us: m.latency.percentile(0.99),
         spans: 0,
     }
 }

@@ -2,11 +2,12 @@
 //! freezes it, round-trips the artifact through disk, verifies
 //! frozen-vs-training-path score parity at several thread counts, then
 //! replays a Beibei-shaped synthetic request stream at several batch
-//! sizes (plus one micro-batched cell), drives the multi-worker
-//! [`WorkerPool`] with an **open-loop** (fixed-arrival-rate) load
-//! generator against a p99 latency SLO, measures p99/shed-rate through
-//! ten artifact hot-swaps under that load (`swap_under_load`), sweeps
-//! the pruned [`ItemIndex`] for a recall@K-vs-speedup curve, and writes
+//! sizes (plus one closed-loop cell through a one-worker pool), drives
+//! the multi-worker [`WorkerPool`] with an **open-loop**
+//! (fixed-arrival-rate) load generator against a p99 latency SLO,
+//! measures p99/shed-rate through ten artifact hot-swaps under that load
+//! (`swap_under_load`), sweeps the pruned [`ItemIndex`] for a
+//! recall@K-vs-speedup curve against its exact full probe, and writes
 //! everything to `results/BENCH_serve.json`.
 //!
 //! Knobs: `MGBR_SCALE` (small/default/large), `MGBR_SERVE_REQUESTS`
@@ -25,9 +26,10 @@ use mgbr_bench::{build_meta, write_artifact, ExperimentEnv};
 use mgbr_core::{train, FrozenModel, Mgbr, TrainConfig};
 use mgbr_eval::GroupBuyScorer;
 use mgbr_json::{Json, ToJson};
+use mgbr_obs::GeoHistogram;
 use mgbr_serve::{
-    recall_at_k, BatcherConfig, IndexConfig, ItemIndex, LatencyHistogram, MicroBatcher, PoolConfig,
-    Retriever, Scorer, ServeError, WorkerPool,
+    latency_json, recall_at_k, BatcherConfig, IndexConfig, ItemIndex, PoolConfig, Scorer,
+    ServeError, WorkerPool,
 };
 use mgbr_tensor::{configure_threads, set_threads, Pcg32};
 
@@ -36,7 +38,7 @@ struct Cell {
     requests: usize,
     total_secs: f64,
     qps: f64,
-    latency: LatencyHistogram,
+    latency: GeoHistogram,
 }
 
 impl ToJson for Cell {
@@ -46,7 +48,7 @@ impl ToJson for Cell {
             ("requests", self.requests.to_json()),
             ("total_secs", self.total_secs.to_json()),
             ("qps", self.qps.to_json()),
-            ("latency", self.latency.to_json()),
+            ("latency", latency_json(&self.latency)),
         ])
     }
 }
@@ -59,7 +61,7 @@ struct PoolCell {
     served: u64,
     shed: u64,
     achieved_qps: f64,
-    latency: LatencyHistogram,
+    latency: GeoHistogram,
     within_slo: bool,
 }
 
@@ -71,7 +73,7 @@ impl ToJson for PoolCell {
             ("served", self.served.to_json()),
             ("shed", self.shed.to_json()),
             ("achieved_qps", self.achieved_qps.to_json()),
-            ("latency", self.latency.to_json()),
+            ("latency", latency_json(&self.latency)),
             ("within_slo", Json::Bool(self.within_slo)),
         ])
     }
@@ -113,7 +115,7 @@ struct ServeBench {
     slo_us: u64,
     pool_cells: Vec<PoolCell>,
     slo_qps: f64,
-    pool_speedup_vs_microbatcher: f64,
+    pool_speedup_vs_one_worker: f64,
     swap_under_load: Json,
     index: Json,
     meta: Json,
@@ -150,8 +152,8 @@ impl ToJson for ServeBench {
             ),
             ("slo_qps", self.slo_qps.to_json()),
             (
-                "pool_speedup_vs_microbatcher",
-                self.pool_speedup_vs_microbatcher.to_json(),
+                "pool_speedup_vs_one_worker",
+                self.pool_speedup_vs_one_worker.to_json(),
             ),
             ("swap_under_load", self.swap_under_load.clone()),
             ("index", self.index.clone()),
@@ -217,7 +219,7 @@ fn run_open_loop(
     let m = pool.metrics();
     debug_assert_eq!(m.requests, warm + served);
     let latency = m.latency;
-    let within_slo = shed == 0 && latency.percentile_us(0.99) <= slo_us;
+    let within_slo = shed == 0 && latency.percentile(0.99) <= slo_us;
     PoolCell {
         offered_qps: rate,
         requests: n_cell,
@@ -299,7 +301,7 @@ fn run_swap_under_load(
         "\nswap_under_load: {n_cell} requests at {rate:.0} qps through {} swaps: \
          p99 {} us, shed rate {shed_rate:.4}, final generation {}",
         m.swaps,
-        m.latency.percentile_us(0.99),
+        m.latency.percentile(0.99),
         m.generation,
     );
     Json::obj([
@@ -317,7 +319,7 @@ fn run_swap_under_load(
             "achieved_qps",
             (answered_ok as f64 / total_secs.max(1e-12)).to_json(),
         ),
-        ("latency", m.latency.to_json()),
+        ("latency", latency_json(&m.latency)),
     ])
 }
 
@@ -372,7 +374,7 @@ fn check_parity(model: &Mgbr, frozen: &FrozenModel, thread_counts: &[usize]) -> 
 /// Replays `n` synthetic Task A requests through a [`Scorer`] in
 /// batches of `batch`, timing each batched forward.
 fn run_cell(scorer: &Scorer, stream: &[(usize, usize)], batch: usize) -> Cell {
-    let mut latency = LatencyHistogram::new();
+    let mut latency = GeoHistogram::new();
     let t0 = Instant::now();
     for chunk in stream.chunks(batch) {
         let b0 = Instant::now();
@@ -382,7 +384,7 @@ fn run_cell(scorer: &Scorer, stream: &[(usize, usize)], batch: usize) -> Cell {
         assert_eq!(scores.len(), chunk.len());
         let us = b0.elapsed().as_micros() as u64;
         for _ in chunk {
-            latency.record_us(us);
+            latency.record(us);
         }
     }
     let total_secs = t0.elapsed().as_secs_f64();
@@ -508,21 +510,26 @@ fn main() {
             cell.batch,
             cell.qps,
             cell.total_secs,
-            cell.latency.percentile_us(0.50),
-            cell.latency.percentile_us(0.95),
-            cell.latency.percentile_us(0.99),
+            cell.latency.percentile(0.50),
+            cell.latency.percentile(0.95),
+            cell.latency.percentile(0.99),
         );
         cells.push(cell);
     }
 
-    // Micro-batched cell: 4 submitter threads through the bounded queue.
-    let batcher = Arc::new(MicroBatcher::new(
+    // Baseline cell: 4 submitter threads through a one-worker pool (the
+    // single-queue micro-batcher).
+    let batcher = Arc::new(WorkerPool::new(
         Arc::clone(&loaded),
-        BatcherConfig {
-            max_batch: 64,
-            max_wait: Duration::from_micros(200),
-            queue_cap: 4096,
-            default_deadline: None,
+        PoolConfig {
+            workers: 1,
+            batcher: BatcherConfig {
+                max_batch: 64,
+                max_wait: Duration::from_micros(200),
+                queue_cap: 4096,
+                default_deadline: None,
+            },
+            ..PoolConfig::default()
         },
     ));
     let per_thread = n_requests / 4;
@@ -544,16 +551,16 @@ fn main() {
     let metrics = batcher.metrics();
     let batcher_qps = metrics.requests as f64 / batcher_secs.max(1e-12);
     println!(
-        "\nmicro-batcher: {} requests in {batcher_secs:.3}s ({batcher_qps:.0} qps, mean batch {:.1}, p99 {} us)",
+        "\none-worker pool: {} requests in {batcher_secs:.3}s ({batcher_qps:.0} qps, mean batch {:.1}, p99 {} us)",
         metrics.requests,
         metrics.mean_batch(),
-        metrics.latency.percentile_us(0.99),
+        metrics.latency.percentile(0.99),
     );
 
     // Open-loop multi-worker sweep: offered rate in multiples of the
-    // closed-loop micro-batcher's throughput. The pool wins by coalescing
-    // the standing queue into large batches instead of the tiny batches
-    // four blocking submitters can form.
+    // closed-loop one-worker baseline's throughput. The pool wins by
+    // coalescing the standing queue into large batches instead of the
+    // tiny batches four blocking submitters can form.
     // Fail closed on malformed env knobs: a typo'd MGBR_SERVE_* aborts
     // the bench instead of silently measuring a default configuration.
     let pool_cfg = PoolConfig::from_env().expect("serving env knobs");
@@ -580,9 +587,9 @@ fn main() {
             cell.offered_qps,
             cell.achieved_qps,
             cell.shed,
-            cell.latency.percentile_us(0.50),
-            cell.latency.percentile_us(0.95),
-            cell.latency.percentile_us(0.99),
+            cell.latency.percentile(0.50),
+            cell.latency.percentile(0.95),
+            cell.latency.percentile(0.99),
             if cell.within_slo { "ok" } else { "MISS" },
         );
         pool_cells.push(cell);
@@ -594,7 +601,7 @@ fn main() {
         .fold(0.0f64, f64::max);
     let pool_speedup = slo_qps / batcher_qps.max(1e-12);
     println!(
-        "\nslo_qps: {slo_qps:.0} ({pool_speedup:.1}x the micro-batcher at p99 <= {slo_us} us)"
+        "\nslo_qps: {slo_qps:.0} ({pool_speedup:.1}x the one-worker pool at p99 <= {slo_us} us)"
     );
 
     // Resilience: ten hot-swaps while the generator offers the best
@@ -607,15 +614,19 @@ fn main() {
         run_swap_under_load(&loaded, &pool_cfg, &stream, swap_rate, n_swap_cell, 10);
 
     // Pruned-index sweep: recall@10 vs speedup over the exhaustive scan,
-    // one row per nprobe. Full probe is exact by construction (pinned
+    // one row per nprobe. The exhaustive baseline is the full probe,
+    // which scores every item and is exact by construction (pinned
     // bitwise by tests/index_properties.rs).
-    let retriever = Retriever::new(Arc::clone(&loaded));
     let index = ItemIndex::build(Arc::clone(&loaded), IndexConfig::default());
     let q_users: Vec<usize> = stream.iter().take(256).map(|&(u, _)| u).collect();
     let t0 = Instant::now();
     let exact: Vec<Vec<mgbr_serve::Hit>> = q_users
         .iter()
-        .map(|&u| retriever.top_items(u, 10, None).expect("exhaustive top-k"))
+        .map(|&u| {
+            index
+                .top_items(u, 10, index.n_clusters())
+                .expect("full-probe top-k")
+        })
         .collect();
     let exhaustive_secs = t0.elapsed().as_secs_f64();
     let exhaustive_qps = q_users.len() as f64 / exhaustive_secs.max(1e-12);
@@ -671,7 +682,7 @@ fn main() {
             slo_us,
             pool_cells,
             slo_qps,
-            pool_speedup_vs_microbatcher: pool_speedup,
+            pool_speedup_vs_one_worker: pool_speedup,
             swap_under_load,
             index: Json::obj([
                 ("n_clusters", index.n_clusters().to_json()),

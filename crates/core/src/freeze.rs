@@ -47,20 +47,15 @@
 //! [`FrozenModel::save_atomic`] (tmp + fsync + rename, like checkpoint
 //! v2); loads parse and CRC-verify the whole artifact before returning,
 //! so truncated or bit-flipped files fail closed with a typed
-//! [`CheckpointError`]. Version-1 artifacts (per-module weight fields
-//! instead of an embedded plan) still load: the legacy fields are parsed,
-//! their structure is lowered to a plan spec, and the weights are
-//! flattened into the canonical parameter order — yielding bit-identical
-//! scores to the v1 replay.
+//! [`CheckpointError`]. Any other version, including the retired
+//! version 1 (per-module weight fields instead of an embedded plan), is
+//! a typed [`CheckpointError::Format`].
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 use mgbr_nn::{CheckpointError, CrcReader, CrcWriter, StepCtx};
-use mgbr_plan::{
-    build_score_plan, execute, ActKind, Bindings, LayerSpec, MlpSpec, MtlSpec, Plan, ScoreSpec,
-    ShapeEnv, TensorBackend,
-};
+use mgbr_plan::{execute, Bindings, Plan, ShapeEnv, TensorBackend};
 use mgbr_tensor::{Tensor, Workspace};
 
 use crate::model::Mgbr;
@@ -530,39 +525,6 @@ fn take_tensor<R: Read>(r: &mut CrcReader<R>) -> Result<Tensor, CheckpointError>
     r.take_tensor(rows as usize, cols as usize)
 }
 
-fn take_opt_tensor<R: Read>(r: &mut CrcReader<R>) -> Result<Option<Tensor>, CheckpointError> {
-    match r.take_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(take_tensor(r)?)),
-        b => Err(CheckpointError::Format(format!(
-            "invalid presence byte {b:#04x}"
-        ))),
-    }
-}
-
-fn take_bool<R: Read>(r: &mut CrcReader<R>) -> Result<bool, CheckpointError> {
-    match r.take_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(CheckpointError::Format(format!(
-            "invalid flag byte {b:#04x}"
-        ))),
-    }
-}
-
-fn act_from_code(tag: u8, param: f32) -> Result<ActKind, CheckpointError> {
-    match tag {
-        0 => Ok(ActKind::Identity),
-        1 => Ok(ActKind::Relu),
-        2 => Ok(ActKind::Sigmoid),
-        3 => Ok(ActKind::Tanh),
-        4 => Ok(ActKind::LeakyRelu(param)),
-        t => Err(CheckpointError::Format(format!(
-            "unknown activation tag {t}"
-        ))),
-    }
-}
-
 impl FrozenModel {
     /// Serializes the artifact (body + CRC-32 footer) to `writer`.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), CheckpointError> {
@@ -622,10 +584,10 @@ impl FrozenModel {
         Ok(())
     }
 
-    /// Parses and CRC-verifies a frozen artifact (version 2, or a legacy
-    /// version-1 file upgraded on load). The whole file is validated
-    /// before anything is returned — corrupt or truncated artifacts fail
-    /// closed with a typed error.
+    /// Parses and CRC-verifies a frozen artifact (version 2). The whole
+    /// file is validated before anything is returned — corrupt,
+    /// truncated or other-version artifacts fail closed with a typed
+    /// error.
     pub fn load<R: Read>(reader: R) -> Result<Self, CheckpointError> {
         let mut r = CrcReader::new(reader);
         let mut magic = [0u8; 8];
@@ -637,8 +599,7 @@ impl FrozenModel {
         }
         let version = r.take_u32()?;
         match version {
-            1 => load_v1(r),
-            2 => load_v2(r),
+            FROZEN_VERSION => load_v2(r),
             v => Err(CheckpointError::Format(format!(
                 "unsupported frozen-artifact version {v}"
             ))),
@@ -771,207 +732,6 @@ fn take_variant<R: Read>(r: &mut CrcReader<R>) -> Result<String, CheckpointError
     r.take(&mut variant_bytes)?;
     String::from_utf8(variant_bytes)
         .map_err(|_| CheckpointError::Format("variant label is not UTF-8".into()))
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1 loader: parse the per-module weight fields, lower their
-// structure to a plan spec, flatten the weights canonically.
-// ---------------------------------------------------------------------------
-
-/// Frozen pair-projection weights of one legacy adjusted gated unit.
-struct LegacyAdjusted {
-    ui: Option<Tensor>,
-    ip: Option<Tensor>,
-    up: Option<Tensor>,
-}
-
-/// One legacy MTL layer: fused expert banks plus gate weights.
-struct LegacyLayer {
-    experts_a: Tensor,
-    experts_b: Tensor,
-    experts_s: Option<Tensor>,
-    gate_a: Tensor,
-    gate_b: Tensor,
-    gate_s: Option<Tensor>,
-    adj_a: Option<LegacyAdjusted>,
-    adj_b: Option<LegacyAdjusted>,
-    dedup_inputs: bool,
-}
-
-/// A legacy prediction MLP (weights plus activation schedule).
-struct LegacyMlp {
-    layers: Vec<(Tensor, Option<Tensor>)>,
-    hidden: ActKind,
-    output: ActKind,
-}
-
-fn take_legacy_adjusted<R: Read>(
-    r: &mut CrcReader<R>,
-) -> Result<Option<LegacyAdjusted>, CheckpointError> {
-    if !take_bool(r)? {
-        return Ok(None);
-    }
-    Ok(Some(LegacyAdjusted {
-        ui: take_opt_tensor(r)?,
-        ip: take_opt_tensor(r)?,
-        up: take_opt_tensor(r)?,
-    }))
-}
-
-fn take_legacy_mlp<R: Read>(r: &mut CrcReader<R>) -> Result<LegacyMlp, CheckpointError> {
-    let mut acts = [ActKind::Identity; 2];
-    for slot in &mut acts {
-        let tag = r.take_u8()?;
-        let param = r.take_f32()?;
-        *slot = act_from_code(tag, param)?;
-    }
-    let n = r.take_u32()?;
-    if n == 0 || n > 64 {
-        return Err(CheckpointError::Format(format!(
-            "implausible MLP depth {n}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let w = take_tensor(r)?;
-        let b = take_opt_tensor(r)?;
-        layers.push((w, b));
-    }
-    Ok(LegacyMlp {
-        layers,
-        hidden: acts[0],
-        output: acts[1],
-    })
-}
-
-fn adj_mask(adj: &Option<LegacyAdjusted>) -> Option<[bool; 3]> {
-    adj.as_ref()
-        .map(|a| [a.ui.is_some(), a.ip.is_some(), a.up.is_some()])
-}
-
-/// Reads the v1 body (after magic + version) and upgrades it: the legacy
-/// structure is lowered to a fresh plan and the weights flattened into
-/// the canonical parameter order, so scoring replays the same arithmetic
-/// the v1 code performed.
-fn load_v1<R: Read>(mut r: CrcReader<R>) -> Result<FrozenModel, CheckpointError> {
-    let d = r.take_u32()? as usize;
-    let k = r.take_u32()? as usize;
-    if d == 0 || d > MAX_DIM as usize || k == 0 || k > 4096 {
-        return Err(CheckpointError::Format(format!(
-            "implausible model dims d={d} k={k}"
-        )));
-    }
-    let alpha_a = r.take_f32()?;
-    let alpha_b = r.take_f32()?;
-    let gate_softmax = take_bool(&mut r)?;
-    let has_shared = take_bool(&mut r)?;
-    let variant = take_variant(&mut r)?;
-    let n_users = usize::try_from(r.take_u64()?)
-        .map_err(|_| CheckpointError::Format("n_users overflows usize".into()))?;
-    let n_items = usize::try_from(r.take_u64()?)
-        .map_err(|_| CheckpointError::Format("n_items overflows usize".into()))?;
-    let users = take_tensor(&mut r)?;
-    let items = take_tensor(&mut r)?;
-    let participants = take_tensor(&mut r)?;
-    let mean_participant = take_tensor(&mut r)?;
-    let n_layers = r.take_u32()?;
-    if n_layers == 0 || n_layers > 64 {
-        return Err(CheckpointError::Format(format!(
-            "implausible MTL depth {n_layers}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(n_layers as usize);
-    for _ in 0..n_layers {
-        let dedup_inputs = take_bool(&mut r)?;
-        layers.push(LegacyLayer {
-            dedup_inputs,
-            experts_a: take_tensor(&mut r)?,
-            experts_b: take_tensor(&mut r)?,
-            experts_s: take_opt_tensor(&mut r)?,
-            gate_a: take_tensor(&mut r)?,
-            gate_b: take_tensor(&mut r)?,
-            gate_s: take_opt_tensor(&mut r)?,
-            adj_a: take_legacy_adjusted(&mut r)?,
-            adj_b: take_legacy_adjusted(&mut r)?,
-        });
-    }
-    let mlp_a = take_legacy_mlp(&mut r)?;
-    let mlp_b = take_legacy_mlp(&mut r)?;
-    r.verify_crc()?;
-
-    // Lower the legacy structure to a plan spec.
-    let mut layer_specs = Vec::with_capacity(layers.len());
-    for (i, layer) in layers.iter().enumerate() {
-        if layer.experts_s.is_some() != has_shared {
-            return Err(CheckpointError::Mismatch(format!(
-                "layer {i}: shared-bank presence disagrees with has_shared"
-            )));
-        }
-        layer_specs.push(LayerSpec {
-            dedup_inputs: layer.dedup_inputs,
-            has_gate_s: layer.gate_s.is_some(),
-            adj_a: adj_mask(&layer.adj_a),
-            adj_b: adj_mask(&layer.adj_b),
-        });
-    }
-    let spec = ScoreSpec {
-        mtl: MtlSpec {
-            has_shared,
-            gate_softmax,
-            alpha_a,
-            alpha_b,
-            layers: layer_specs,
-        },
-        mlp_a: MlpSpec {
-            layers: mlp_a.layers.iter().map(|(_, b)| b.is_some()).collect(),
-            hidden: mlp_a.hidden,
-            output: mlp_a.output,
-        },
-        mlp_b: MlpSpec {
-            layers: mlp_b.layers.iter().map(|(_, b)| b.is_some()).collect(),
-            hidden: mlp_b.hidden,
-            output: mlp_b.output,
-        },
-    };
-    let score = build_score_plan(&spec);
-
-    // Flatten the weights into the canonical parameter order the plan
-    // declares: per layer A/B/[S] banks, A/B/[S] gates, then the present
-    // adjusted projections (ui, ip, up; gate A then gate B); then the
-    // MLP layers (w, then bias when present).
-    let mut params = Vec::new();
-    for layer in layers {
-        params.push(layer.experts_a);
-        params.push(layer.experts_b);
-        params.extend(layer.experts_s);
-        params.push(layer.gate_a);
-        params.push(layer.gate_b);
-        params.extend(layer.gate_s);
-        for adj in [layer.adj_a, layer.adj_b].into_iter().flatten() {
-            params.extend(adj.ui);
-            params.extend(adj.ip);
-            params.extend(adj.up);
-        }
-    }
-    for mlp in [mlp_a, mlp_b] {
-        for (w, b) in mlp.layers {
-            params.push(w);
-            params.extend(b);
-        }
-    }
-    FrozenModel::from_parts(
-        d,
-        k,
-        variant,
-        n_users,
-        n_items,
-        users,
-        items,
-        participants,
-        mean_participant,
-        score.plan,
-        params,
-    )
 }
 
 #[cfg(test)]
@@ -1148,6 +908,17 @@ mod tests {
             FrozenModel::load(bad.as_slice()),
             Err(CheckpointError::Format(_))
         ));
+        // Unsupported versions, the retired version 1 included.
+        for version in [1u32, 99] {
+            let mut other = buf.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = FrozenModel::load(other.as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Format(m)
+                    if m.contains(&format!("unsupported frozen-artifact version {version}"))),
+                "version {version}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -244,10 +244,10 @@ struct ResumePoint {
 /// # Errors
 ///
 /// Returns [`TrainError::Checkpoint`] if the checkpoint is
-/// unreadable/corrupt, and [`TrainError::ConfigMismatch`] if it is a
-/// legacy v1 file (no training state to resume from) or was written under
-/// a different `TrainConfig` fingerprint. A corrupt checkpoint never
-/// partially mutates the model: loads are transactional and CRC-verified.
+/// unreadable, corrupt or of an unsupported version, and
+/// [`TrainError::ConfigMismatch`] if it was written under a different
+/// `TrainConfig` fingerprint. A corrupt checkpoint never partially
+/// mutates the model: loads are transactional and CRC-verified.
 fn try_resume(
     model: &mut Mgbr,
     tc: &TrainConfig,
@@ -260,17 +260,7 @@ fn try_resume(
     if !tc.resume || !path.exists() {
         return Ok(None);
     }
-    let loaded = load_checkpoint_from_file(&mut model.store, path)?;
-    let Some(state) = loaded.state else {
-        return Err(TrainError::ConfigMismatch(format!(
-            "cannot resume from {}: {} — re-train or load it as parameters only",
-            path.display(),
-            loaded
-                .note
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "checkpoint carries no training state".into())
-        )));
-    };
+    let state = load_checkpoint_from_file(&mut model.store, path)?.state;
     if state.config_fingerprint != tc.fingerprint() {
         return Err(TrainError::ConfigMismatch(format!(
             "cannot resume from {}: checkpoint was written under a different TrainConfig",

@@ -1,6 +1,6 @@
-//! Crash-safe checkpointing: save and restore every trainable tensor —
-//! and, in the v2 format, the full training state needed to resume a
-//! killed run bit-for-bit — to a versioned, self-describing binary file.
+//! Crash-safe checkpointing: save and restore every trainable tensor
+//! together with the full training state needed to resume a killed run
+//! bit-for-bit, in a versioned, self-describing binary file.
 //!
 //! ## Format v2 (little-endian)
 //!
@@ -26,13 +26,13 @@
 //! crc32   u32                 IEEE CRC-32 over every preceding byte
 //! ```
 //!
-//! The legacy v1 layout (magic, version 1, count, parameters — no train
-//! state, no integrity footer) is still readable; [`load_checkpoint`]
-//! restores its parameters and reports a [`FormatNote::LegacyV1`].
+//! Any other version, including the retired version 1 (parameters only,
+//! no train state, no integrity footer), is a typed
+//! [`CheckpointError::Format`].
 //!
 //! ## Guarantees
 //!
-//! * **Integrity** — every v2 load verifies the CRC-32 footer before any
+//! * **Integrity** — every load verifies the CRC-32 footer before any
 //!   state is committed, so truncated or bit-flipped files fail closed
 //!   with a typed [`CheckpointError`] and never partially mutate a store.
 //! * **Atomicity** — [`save_checkpoint_atomic`] writes to a temp file,
@@ -52,7 +52,6 @@ use mgbr_tensor::{Pcg32State, Tensor};
 use crate::ParamStore;
 
 const MAGIC: &[u8; 8] = b"MGBRCKPT";
-const VERSION_V1: u32 = 1;
 const VERSION_V2: u32 = 2;
 
 /// Errors arising from checkpoint serialization.
@@ -139,12 +138,12 @@ impl TrainState {
     }
 }
 
-/// An in-memory capture of exactly the state a v2 checkpoint file holds —
+/// An in-memory capture of exactly the state a checkpoint file holds —
 /// parameters plus [`TrainState`] — without touching the filesystem.
 ///
 /// The training watchdog snapshots at every epoch boundary and rolls back
 /// to the capture after a numerical anomaly; because the content mirrors
-/// the on-disk v2 format one-for-one, restoring it is equivalent to
+/// the on-disk format one-for-one, restoring it is equivalent to
 /// re-loading the checkpoint that boundary would have written, minus the
 /// serialization round-trip.
 #[derive(Debug, Clone)]
@@ -195,35 +194,13 @@ impl MemorySnapshot {
     }
 }
 
-/// A non-fatal observation made while loading a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatNote {
-    /// The file used the legacy v1 layout: parameters restored, but no
-    /// optimizer moments, RNG state, counters, or integrity footer were
-    /// present.
-    LegacyV1,
-}
-
-impl fmt::Display for FormatNote {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FormatNote::LegacyV1 => write!(
-                f,
-                "legacy v1 checkpoint: parameters restored; no optimizer/RNG state available"
-            ),
-        }
-    }
-}
-
 /// The result of a successful [`load_checkpoint`].
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
     /// Format version of the file.
     pub version: u32,
-    /// Training state (always `Some` for v2, `None` for v1).
-    pub state: Option<TrainState>,
-    /// Typed note about format degradations, if any.
-    pub note: Option<FormatNote>,
+    /// The training state saved next to the parameters.
+    pub state: TrainState,
 }
 
 // ---------------------------------------------------------------------------
@@ -447,42 +424,10 @@ impl<R: Read> CrcReader<R> {
 }
 
 // ---------------------------------------------------------------------------
-// v1 writers (legacy, parameters only)
+// Writer
 // ---------------------------------------------------------------------------
 
-/// Writes every parameter of `store` to `writer` in the legacy v1 layout
-/// (no train state, no integrity footer). Prefer [`save_checkpoint`].
-pub fn save_params<W: Write>(store: &ParamStore, mut writer: W) -> Result<(), CheckpointError> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION_V1.to_le_bytes())?;
-    writer.write_all(&(store.len() as u32).to_le_bytes())?;
-    for (_, name, tensor) in store.iter() {
-        let name_bytes = name.as_bytes();
-        writer.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
-        writer.write_all(name_bytes)?;
-        writer.write_all(&(tensor.rows() as u32).to_le_bytes())?;
-        writer.write_all(&(tensor.cols() as u32).to_le_bytes())?;
-        for &v in tensor.as_slice() {
-            writer.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Saves a store to a file path in the legacy v1 layout.
-pub fn save_params_to_file(
-    store: &ParamStore,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
-    let file = std::fs::File::create(path)?;
-    save_params(store, io::BufWriter::new(file))
-}
-
-// ---------------------------------------------------------------------------
-// v2 writer
-// ---------------------------------------------------------------------------
-
-/// Writes a v2 checkpoint: parameters plus `state`, CRC-protected.
+/// Writes a checkpoint: parameters plus `state`, CRC-protected.
 pub fn save_checkpoint<W: Write>(
     store: &ParamStore,
     state: &TrainState,
@@ -569,7 +514,7 @@ pub fn save_checkpoint<W: Write>(
     Ok(())
 }
 
-/// Saves a v2 checkpoint crash-safely: serialize to `<path>.tmp`, fsync,
+/// Saves a checkpoint crash-safely: serialize to `<path>.tmp`, fsync,
 /// rename over `path`, fsync the parent directory. A crash at any point
 /// leaves either the previous checkpoint or the new one — never a torn
 /// file at `path`.
@@ -612,16 +557,16 @@ pub fn save_checkpoint_atomic(
 }
 
 // ---------------------------------------------------------------------------
-// Readers (v1 + v2)
+// Reader
 // ---------------------------------------------------------------------------
 
-/// Restores a checkpoint (any supported version) into `store`.
+/// Restores a checkpoint into `store` and returns its training state.
 ///
 /// The checkpoint must contain exactly the store's parameters, in
 /// registration order, with matching names and shapes. The load is
-/// **transactional**: the file is fully parsed and (for v2) its CRC
-/// verified before the first byte is committed to `store`, so a failed
-/// load leaves the store untouched.
+/// **transactional**: the file is fully parsed and its CRC verified
+/// before the first byte is committed to `store`, so a failed load
+/// leaves the store untouched.
 pub fn load_checkpoint<R: Read>(
     store: &mut ParamStore,
     reader: R,
@@ -633,79 +578,67 @@ pub fn load_checkpoint<R: Read>(
         return Err(CheckpointError::Format("bad magic bytes".into()));
     }
     let version = r.take_u32()?;
-    match version {
-        VERSION_V1 => {
-            let params = read_params_section(&mut r, store)?;
-            commit_params(store, params);
-            Ok(LoadedCheckpoint {
-                version,
-                state: None,
-                note: Some(FormatNote::LegacyV1),
-            })
-        }
-        VERSION_V2 => {
-            let epoch = r.take_u64()?;
-            let step = r.take_u64()?;
-            let config_fingerprint = r.take_u64()?;
-            let rng = match r.take_u8()? {
+    if version != VERSION_V2 {
+        return Err(CheckpointError::Format(format!(
+            "unsupported version {version} (supported: {VERSION_V2})"
+        )));
+    }
+    let epoch = r.take_u64()?;
+    let step = r.take_u64()?;
+    let config_fingerprint = r.take_u64()?;
+    let rng = match r.take_u8()? {
+        0 => None,
+        1 => {
+            let state = r.take_u64()?;
+            let inc = r.take_u64()?;
+            let gauss_present = r.take_u8()?;
+            let gauss_bits = r.take_f32()?;
+            let gauss_spare = match gauss_present {
                 0 => None,
-                1 => {
-                    let state = r.take_u64()?;
-                    let inc = r.take_u64()?;
-                    let gauss_present = r.take_u8()?;
-                    let gauss_bits = r.take_f32()?;
-                    let gauss_spare = match gauss_present {
-                        0 => None,
-                        1 => Some(gauss_bits),
-                        other => {
-                            return Err(CheckpointError::Format(format!(
-                                "invalid gauss-spare flag {other}"
-                            )))
-                        }
-                    };
-                    Some(Pcg32State {
-                        state,
-                        inc,
-                        gauss_spare,
-                    })
-                }
+                1 => Some(gauss_bits),
                 other => {
                     return Err(CheckpointError::Format(format!(
-                        "invalid rng-present flag {other}"
+                        "invalid gauss-spare flag {other}"
                     )))
                 }
             };
-            let val_len = r.take_u32()? as usize;
-            if val_len > 1 << 24 {
-                return Err(CheckpointError::Format(format!(
-                    "implausible validation-history length {val_len}"
-                )));
-            }
-            let mut val_history = Vec::with_capacity(val_len);
-            for _ in 0..val_len {
-                val_history.push(r.take_f64()?);
-            }
-            let params = read_params_section(&mut r, store)?;
-            let adam = read_adam_section(&mut r, store)?;
-            r.verify_crc()?;
-            commit_params(store, params);
-            Ok(LoadedCheckpoint {
-                version,
-                state: Some(TrainState {
-                    epoch,
-                    step,
-                    config_fingerprint,
-                    rng,
-                    val_history,
-                    adam,
-                }),
-                note: None,
+            Some(Pcg32State {
+                state,
+                inc,
+                gauss_spare,
             })
         }
-        other => Err(CheckpointError::Format(format!(
-            "unsupported version {other} (supported: {VERSION_V1}, {VERSION_V2})"
-        ))),
+        other => {
+            return Err(CheckpointError::Format(format!(
+                "invalid rng-present flag {other}"
+            )))
+        }
+    };
+    let val_len = r.take_u32()? as usize;
+    if val_len > 1 << 24 {
+        return Err(CheckpointError::Format(format!(
+            "implausible validation-history length {val_len}"
+        )));
     }
+    let mut val_history = Vec::with_capacity(val_len);
+    for _ in 0..val_len {
+        val_history.push(r.take_f64()?);
+    }
+    let params = read_params_section(&mut r, store)?;
+    let adam = read_adam_section(&mut r, store)?;
+    r.verify_crc()?;
+    commit_params(store, params);
+    Ok(LoadedCheckpoint {
+        version,
+        state: TrainState {
+            epoch,
+            step,
+            config_fingerprint,
+            rng,
+            val_history,
+            adam,
+        },
+    })
 }
 
 /// Restores a checkpoint from a file path.
@@ -715,21 +648,6 @@ pub fn load_checkpoint_from_file(
 ) -> Result<LoadedCheckpoint, CheckpointError> {
     let file = std::fs::File::open(path)?;
     load_checkpoint(store, io::BufReader::new(file))
-}
-
-/// Restores parameter values into `store` from `reader`, accepting any
-/// supported version and discarding v2 train state.
-pub fn load_params<R: Read>(store: &mut ParamStore, reader: R) -> Result<(), CheckpointError> {
-    load_checkpoint(store, reader).map(|_| ())
-}
-
-/// Restores a store from a file path (parameters only).
-pub fn load_params_from_file(
-    store: &mut ParamStore,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
-    let file = std::fs::File::open(path)?;
-    load_params(store, io::BufReader::new(file))
 }
 
 /// Parses the parameter section, validating names/shapes against `store`
@@ -866,16 +784,18 @@ mod tests {
         }
     }
 
+    /// Values round-trip next to a bare state (no RNG, no optimizer).
     #[test]
     fn roundtrip_preserves_values() {
         let store = sample_store();
         let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
+        save_checkpoint(&store, &TrainState::new(3), &mut buf).unwrap();
 
         let mut restored = ParamStore::new();
         restored.add("layer.w", Tensor::zeros(3, 4));
         restored.add("layer.b", Tensor::zeros(1, 4));
-        load_params(&mut restored, buf.as_slice()).unwrap();
+        let loaded = load_checkpoint(&mut restored, buf.as_slice()).unwrap();
+        assert_eq!(loaded.state, TrainState::new(3));
 
         for ((_, _, a), (_, _, b)) in store.iter().zip(restored.iter()) {
             assert_eq!(a, b);
@@ -894,25 +814,10 @@ mod tests {
         restored.add("layer.b", Tensor::zeros(1, 4));
         let loaded = load_checkpoint(&mut restored, buf.as_slice()).unwrap();
         assert_eq!(loaded.version, 2);
-        assert_eq!(loaded.note, None);
-        assert_eq!(loaded.state.as_ref(), Some(&state));
+        assert_eq!(loaded.state, state);
         for ((_, _, a), (_, _, b)) in store.iter().zip(restored.iter()) {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn v1_load_reports_legacy_note_and_no_state() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
-
-        let mut restored = sample_store();
-        let loaded = load_checkpoint(&mut restored, buf.as_slice()).unwrap();
-        assert_eq!(loaded.version, 1);
-        assert!(loaded.state.is_none());
-        assert_eq!(loaded.note, Some(FormatNote::LegacyV1));
-        assert!(loaded.note.unwrap().to_string().contains("legacy v1"));
     }
 
     #[test]
@@ -980,7 +885,7 @@ mod tests {
         save_checkpoint_atomic(&store, &sample_state(), &path).unwrap();
         let mut restored = sample_store();
         let loaded = load_checkpoint_from_file(&mut restored, &path).unwrap();
-        assert_eq!(loaded.state.unwrap().epoch, 7);
+        assert_eq!(loaded.state.epoch, 7);
         assert!(!dir.join("model.ckpt.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -988,34 +893,40 @@ mod tests {
     #[test]
     fn rejects_wrong_magic() {
         let mut store = sample_store();
-        let err = load_params(&mut store, &b"NOTACKPT"[..]).unwrap_err();
+        let err = load_checkpoint(&mut store, &b"NOTACKPT"[..]).unwrap_err();
         assert!(matches!(
             err,
             CheckpointError::Format(_) | CheckpointError::Io(_)
         ));
     }
 
+    /// Unsupported versions, the retired version 1 included, are typed
+    /// format errors.
     #[test]
     fn rejects_unsupported_version() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        let mut store = sample_store();
-        let err = load_checkpoint(&mut store, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
-        assert!(err.to_string().contains("unsupported version 99"));
+        for version in [1u32, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            let mut store = sample_store();
+            let err = load_checkpoint(&mut store, buf.as_slice()).unwrap_err();
+            assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+            assert!(err
+                .to_string()
+                .contains(&format!("unsupported version {version}")));
+        }
     }
 
     #[test]
     fn rejects_shape_mismatch() {
         let store = sample_store();
         let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
+        save_checkpoint(&store, &TrainState::new(0), &mut buf).unwrap();
 
         let mut other = ParamStore::new();
         other.add("layer.w", Tensor::zeros(4, 3)); // transposed shape
         other.add("layer.b", Tensor::zeros(1, 4));
-        let err = load_params(&mut other, buf.as_slice()).unwrap_err();
+        let err = load_checkpoint(&mut other, buf.as_slice()).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
     }
 
@@ -1023,12 +934,12 @@ mod tests {
     fn rejects_name_mismatch() {
         let store = sample_store();
         let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
+        save_checkpoint(&store, &TrainState::new(0), &mut buf).unwrap();
 
         let mut other = ParamStore::new();
         other.add("different.w", Tensor::zeros(3, 4));
         other.add("layer.b", Tensor::zeros(1, 4));
-        let err = load_params(&mut other, buf.as_slice()).unwrap_err();
+        let err = load_checkpoint(&mut other, buf.as_slice()).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)));
     }
 
@@ -1036,11 +947,11 @@ mod tests {
     fn rejects_count_mismatch() {
         let store = sample_store();
         let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
+        save_checkpoint(&store, &TrainState::new(0), &mut buf).unwrap();
 
         let mut other = ParamStore::new();
         other.add("layer.w", Tensor::zeros(3, 4));
-        let err = load_params(&mut other, buf.as_slice()).unwrap_err();
+        let err = load_checkpoint(&mut other, buf.as_slice()).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)));
     }
 
@@ -1066,11 +977,11 @@ mod tests {
     fn file_roundtrip() {
         let store = sample_store();
         let path = std::env::temp_dir().join("mgbr_ckpt_test.bin");
-        save_params_to_file(&store, &path).unwrap();
+        save_checkpoint_atomic(&store, &TrainState::new(0), &path).unwrap();
         let mut restored = sample_store();
         let first_id = restored.iter().next().unwrap().0;
         restored.get_mut(first_id).fill(0.0);
-        load_params_from_file(&mut restored, &path).unwrap();
+        load_checkpoint_from_file(&mut restored, &path).unwrap();
         for ((_, _, a), (_, _, b)) in store.iter().zip(restored.iter()) {
             assert_eq!(a, b);
         }

@@ -40,10 +40,8 @@ mod param;
 mod schedule;
 
 pub use checkpoint::{
-    load_checkpoint, load_checkpoint_from_file, load_params, load_params_from_file,
-    save_checkpoint, save_checkpoint_atomic, save_params, save_params_to_file, AdamState,
-    CheckpointError, CrcReader, CrcWriter, FormatNote, LoadedCheckpoint, MemorySnapshot,
-    TrainState,
+    load_checkpoint, load_checkpoint_from_file, save_checkpoint, save_checkpoint_atomic, AdamState,
+    CheckpointError, CrcReader, CrcWriter, LoadedCheckpoint, MemorySnapshot, TrainState,
 };
 pub use failpoint::{Fault, IoFault, NumericFault, NumericFaultArm, NumericFaultKind};
 pub use layers::{Activation, Embedding, Linear, Mlp};

@@ -16,8 +16,8 @@ pub const BUCKETS: usize = 40;
 /// Percentiles are reported as the upper bound of the bucket containing
 /// the requested quantile, i.e. with ≤ 2× relative resolution — ample for
 /// p50/p95/p99 dashboards while keeping `record` an O(1) increment with
-/// zero allocation. The bucket math is bit-identical to the original
-/// serving `LatencyHistogram` (now a thin wrapper over this type).
+/// zero allocation. Serving latencies (`mgbr_serve::ServeMetrics`) are
+/// recorded straight into this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeoHistogram {
     buckets: [u64; BUCKETS],

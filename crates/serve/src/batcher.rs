@@ -1,9 +1,10 @@
 //! Micro-batching: bounded request queues + scoring workers that
 //! coalesce concurrent requests into batched forwards.
 //!
-//! The building blocks here ([`WorkQueue`], [`BatchScorer`], the worker
-//! loop) are shared between the single-worker [`MicroBatcher`] and the
-//! multi-worker [`crate::WorkerPool`]. The locking discipline is strict:
+//! The building blocks here ([`WorkQueue`] and [`run_batch`]) are driven
+//! by the workers of [`crate::WorkerPool`], the one serving front-end
+//! (a one-worker pool is the single-queue micro-batcher). The locking
+//! discipline is strict:
 //! **no lock is ever held while calling into the model or delivering
 //! replies** — the queue lock covers only enqueue/drain, and the metrics
 //! lock is taken once per batch after every reply has been sent, so
@@ -31,15 +32,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread;
 use std::time::{Duration, Instant};
-
-use mgbr_core::FrozenModel;
 
 use crate::slo::{BurnRate, DelayTracker};
 use crate::{Scorer, ServeError, ServeMetrics};
 
-/// Knobs for [`MicroBatcher`] (and, per worker, [`crate::WorkerPool`]).
+/// Per-worker batching knobs of [`crate::WorkerPool`].
 /// Defaults: batch up to 64 requests, wait at most 200 µs for
 /// stragglers, shed beyond 1024 queued, no default deadline.
 #[derive(Debug, Clone)]
@@ -78,8 +76,7 @@ pub struct Reply {
     pub result: Result<f32, ServeError>,
     /// Generation of the frozen artifact published when the answering
     /// batch ran (see [`crate::WorkerPool::swap_model`]); 0 means the
-    /// reply came from a front-end that does not track generations
-    /// ([`MicroBatcher`]) or the worker vanished before answering.
+    /// worker vanished before answering.
     pub generation: u64,
 }
 
@@ -139,8 +136,7 @@ pub(crate) struct Pending {
     /// Absolute expiry; `None` never expires.
     pub(crate) deadline: Option<Instant>,
     pub(crate) reply: mpsc::Sender<Reply>,
-    /// Trace context; `None` whenever tracing is off (always, for the
-    /// generation-agnostic [`MicroBatcher`] front-end).
+    /// Trace context; `None` whenever tracing is off.
     pub(crate) trace: Option<ReqTrace>,
 }
 
@@ -188,14 +184,14 @@ impl ChaosHook {
 }
 
 /// A bounded MPMC request queue with condvar wakeups. One queue feeds
-/// one worker in [`MicroBatcher`] and hash-partitioned pools; in
+/// one worker in hash-partitioned and one-worker pools; in
 /// shared-admission pools several workers drain the same queue.
 pub(crate) struct WorkQueue {
     state: Mutex<QueueState>,
     wake: Condvar,
     cap: usize,
     /// Observability gauge name for the queue depth (e.g.
-    /// `serve.queue_depth` or `serve.pool.q0.queue_depth`).
+    /// `serve.pool.q0.queue_depth`).
     depth_gauge: String,
 }
 
@@ -302,83 +298,21 @@ impl WorkQueue {
     }
 }
 
-/// The scoring backend a batching worker drives. Production workers use
-/// [`Scorer`]; tests inject slow or gated shims to pin down the locking
-/// discipline (producers must be able to enqueue while a batch scores).
-pub(crate) trait BatchScorer: Send + 'static {
-    fn pairs(&self, pairs: &[(usize, usize)]) -> Result<Vec<f32>, ServeError>;
-    fn pair(&self, user: usize, item: usize) -> Result<f32, ServeError>;
-    fn triples(&self, triples: &[(usize, usize, usize)]) -> Result<Vec<f32>, ServeError>;
-    fn triple(&self, user: usize, item: usize, participant: usize) -> Result<f32, ServeError>;
-}
-
-impl BatchScorer for Scorer {
-    fn pairs(&self, pairs: &[(usize, usize)]) -> Result<Vec<f32>, ServeError> {
-        self.score_item_batch(pairs)
-    }
-    fn pair(&self, user: usize, item: usize) -> Result<f32, ServeError> {
-        self.score_item(user, item)
-    }
-    fn triples(&self, triples: &[(usize, usize, usize)]) -> Result<Vec<f32>, ServeError> {
-        self.score_participant_batch(triples)
-    }
-    fn triple(&self, user: usize, item: usize, participant: usize) -> Result<f32, ServeError> {
-        self.score_participant(user, item, participant)
-    }
-}
-
-/// Observability labels for one worker's instruments.
-#[derive(Clone)]
-pub(crate) struct WorkerObs {
-    pub(crate) batch_size_hist: String,
-    pub(crate) requests_counter: String,
-    pub(crate) latency_hist: String,
-    pub(crate) deadline_counter: String,
-}
-
-/// The single-worker [`MicroBatcher`] instrument names (PR 5 taxonomy).
-pub(crate) fn micro_obs() -> WorkerObs {
-    WorkerObs {
-        batch_size_hist: "serve.batch_size".to_string(),
-        requests_counter: "serve.requests".to_string(),
-        latency_hist: "serve.latency_us".to_string(),
-        deadline_counter: "serve.deadline_exceeded".to_string(),
-    }
-}
-
 /// Everything a batching worker needs besides its queue and scorer:
-/// metrics sink, instrument names, the chaos hook, and (pool workers
-/// only) the SLO queue-delay tracker and burn-rate sink.
+/// metrics sink, the names of its own instruments (the latency histogram
+/// and the deadline counter are pool-wide), the chaos hook, the SLO
+/// queue-delay tracker (only when the pool has an SLO) and the burn-rate
+/// sink.
 pub(crate) struct WorkerCtx {
     pub(crate) metrics: Arc<Mutex<ServeMetrics>>,
-    pub(crate) obs: WorkerObs,
+    pub(crate) batch_size_hist: String,
+    pub(crate) requests_counter: String,
     pub(crate) chaos: ChaosHook,
     pub(crate) delays: Option<Arc<DelayTracker>>,
-    /// Worker index within its pool (0 for the single-worker front-end);
-    /// stamped into `serve.request` spans.
+    /// Worker index within its pool; stamped into `serve.request` spans.
     pub(crate) worker: u64,
-    /// Pool-shared SLO burn tracker; `None` for [`MicroBatcher`].
-    pub(crate) burn: Option<Arc<BurnRate>>,
-}
-
-/// One batching worker: drains `queue` until shutdown-and-empty, scoring
-/// coalesced batches through `scorer` and folding latency/throughput
-/// into the context's metrics. Generation-agnostic (stamps 0); the
-/// pool's hot-swapping loop lives in `pool.rs`.
-pub(crate) fn worker_loop<S: BatchScorer>(
-    queue: Arc<WorkQueue>,
-    scorer: S,
-    ctx: WorkerCtx,
-    cfg: BatcherConfig,
-) {
-    loop {
-        let batch = queue.collect(cfg.max_batch, cfg.max_wait);
-        if batch.is_empty() {
-            // Only returned empty on shutdown with a drained queue.
-            return;
-        }
-        run_batch(&scorer, &ctx, batch, 0, false);
-    }
+    /// Pool-shared SLO burn tracker.
+    pub(crate) burn: Arc<BurnRate>,
 }
 
 /// Scores one coalesced batch and answers every request in it — exactly
@@ -387,8 +321,8 @@ pub(crate) fn worker_loop<S: BatchScorer>(
 /// more stamps every latency), and panics contained so a dying scorer
 /// can never swallow a batch. `boundary` marks the first batch after a
 /// hot-swap (the tail sampler always traces those).
-pub(crate) fn run_batch<S: BatchScorer>(
-    scorer: &S,
+pub(crate) fn run_batch(
+    scorer: &Scorer,
     ctx: &WorkerCtx,
     batch: Vec<Pending>,
     generation: u64,
@@ -442,15 +376,19 @@ pub(crate) fn run_batch<S: BatchScorer>(
     // and the worker thread survives to drain the next batch.
     let mut died = false;
     let contained_pair = |u: usize, i: usize| {
-        catch_unwind(AssertUnwindSafe(|| scorer.pair(u, i))).unwrap_or(Err(ServeError::Canceled))
+        catch_unwind(AssertUnwindSafe(|| scorer.score_item(u, i)))
+            .unwrap_or(Err(ServeError::Canceled))
     };
     let contained_triple = |u: usize, i: usize, q: usize| {
-        catch_unwind(AssertUnwindSafe(|| scorer.triple(u, i, q)))
+        catch_unwind(AssertUnwindSafe(|| scorer.score_participant(u, i, q)))
             .unwrap_or(Err(ServeError::Canceled))
     };
     match catch_unwind(AssertUnwindSafe(|| {
         ctx.chaos.pre_score();
-        (scorer.pairs(&pairs), scorer.triples(&triples))
+        (
+            scorer.score_item_batch(&pairs),
+            scorer.score_participant_batch(&triples),
+        )
     })) {
         Ok((pair_res, triple_res)) => {
             match pair_res {
@@ -513,28 +451,25 @@ pub(crate) fn run_batch<S: BatchScorer>(
     // Burn accounting is a serving feature, not a tracing one: it runs
     // traced or not. "Bad" = every answered request that spent error
     // budget (expired, canceled); client errors do not.
-    if let Some(burn) = &ctx.burn {
-        let bad = batch
-            .iter()
-            .zip(answers.iter())
-            .filter(|(_, a)| {
-                matches!(
-                    a,
-                    None | Some(Err(ServeError::DeadlineExceeded | ServeError::Canceled))
-                )
-            })
-            .count() as u64;
-        burn.record(batch_len as u64, bad);
-    }
+    let bad = batch
+        .iter()
+        .zip(answers.iter())
+        .filter(|(_, a)| {
+            matches!(
+                a,
+                None | Some(Err(ServeError::DeadlineExceeded | ServeError::Canceled))
+            )
+        })
+        .count() as u64;
+    ctx.burn.record(batch_len as u64, bad);
     if mgbr_obs::enabled() {
         let reg = mgbr_obs::metrics();
-        reg.histogram(&ctx.obs.batch_size_hist)
-            .record(batch_len as u64);
+        reg.histogram(&ctx.batch_size_hist).record(batch_len as u64);
         if expired > 0 {
-            reg.counter(&ctx.obs.deadline_counter).add(expired);
+            reg.counter("serve.pool.deadline_exceeded").add(expired);
         }
-        let requests = reg.counter(&ctx.obs.requests_counter);
-        let latency = reg.histogram(&ctx.obs.latency_hist);
+        let requests = reg.counter(&ctx.requests_counter);
+        let latency = reg.histogram("serve.pool.latency_us");
         for (p, a) in batch.iter().zip(answers.iter()) {
             if !matches!(a, Some(Ok(_))) {
                 continue;
@@ -552,11 +487,9 @@ pub(crate) fn run_batch<S: BatchScorer>(
                 _ => latency.record(us),
             }
         }
-        if let Some(burn) = &ctx.burn {
-            let (short, _) = burn.rates();
-            reg.gauge("serve.slo.burn_rate")
-                .set((short * 1000.0) as i64);
-        }
+        let (short, _) = ctx.burn.rates();
+        reg.gauge("serve.slo.burn_rate")
+            .set((short * 1000.0) as i64);
         emit_request_spans(ctx, &batch, &answers, generation, boundary, died, now, done);
     }
     {
@@ -566,7 +499,7 @@ pub(crate) fn run_batch<S: BatchScorer>(
         m.generation = m.generation.max(generation);
         for &us in &served {
             m.requests += 1;
-            m.latency.record_us(us);
+            m.latency.record(us);
         }
     }
     for (p, ans) in batch.into_iter().zip(answers) {
@@ -626,142 +559,34 @@ fn emit_request_spans(
     }
 }
 
-/// A bounded micro-batching front-end over one scoring worker thread.
-///
-/// Callers submit single requests from any number of threads; the
-/// worker coalesces whatever is queued (up to `max_batch`, waiting at
-/// most `max_wait` for stragglers) into one batched forward. Because
-/// the frozen forward is row-local, a coalesced request's score is
-/// bitwise identical to scoring it alone — batching is purely a
-/// throughput optimization, never a numerics change.
-///
-/// When the queue is full, submissions fail fast with
-/// [`ServeError::Overloaded`] (shed-on-overflow). A configured
-/// `default_deadline` bounds how long a request may wait before being
-/// answered [`ServeError::DeadlineExceeded`] unscored. Dropping the
-/// batcher drains the queue gracefully, answers everything, and joins
-/// the worker. For N workers over one model — plus SLO-aware shedding
-/// and artifact hot-swap — see [`crate::WorkerPool`].
-pub struct MicroBatcher {
-    queue: Arc<WorkQueue>,
-    metrics: Arc<Mutex<ServeMetrics>>,
-    default_deadline: Option<Duration>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl MicroBatcher {
-    /// Spawns the scoring worker over a shared frozen model.
-    pub fn new(model: Arc<FrozenModel>, cfg: BatcherConfig) -> Self {
-        Self::with_backend(Scorer::new(model), cfg, micro_obs())
-    }
-
-    /// Spawns a worker over an arbitrary scoring backend (test seam for
-    /// slow/gated model shims; production code uses [`Self::new`]).
-    pub(crate) fn with_backend<S: BatchScorer>(
-        scorer: S,
-        cfg: BatcherConfig,
-        obs: WorkerObs,
-    ) -> Self {
-        let cfg = BatcherConfig {
-            max_batch: cfg.max_batch.max(1),
-            ..cfg
-        };
-        let queue = Arc::new(WorkQueue::new(
-            cfg.queue_cap,
-            "serve.queue_depth".to_string(),
-        ));
-        let metrics = Arc::new(Mutex::new(ServeMetrics::new()));
-        let default_deadline = cfg.default_deadline;
-        let worker = {
-            let q = Arc::clone(&queue);
-            let ctx = WorkerCtx {
-                metrics: Arc::clone(&metrics),
-                obs,
-                chaos: ChaosHook::default(),
-                delays: None,
-                worker: 0,
-                burn: None,
-            };
-            thread::spawn(move || worker_loop(q, scorer, ctx, cfg))
-        };
-        Self {
-            queue,
-            metrics,
-            default_deadline,
-            worker: Some(worker),
-        }
-    }
-
-    /// Task A logit for `(user, item)`, via the batching queue. Blocks
-    /// until the worker answers.
-    pub fn score_item(&self, user: usize, item: usize) -> Result<f32, ServeError> {
-        self.submit(Request::Item(user, item))
-    }
-
-    /// Task B logit for `(user, item, participant)`, via the batching
-    /// queue.
-    pub fn score_participant(
-        &self,
-        user: usize,
-        item: usize,
-        participant: usize,
-    ) -> Result<f32, ServeError> {
-        self.submit(Request::Participant(user, item, participant))
-    }
-
-    /// A snapshot of the serving metrics so far.
-    pub fn metrics(&self) -> ServeMetrics {
-        lock(&self.metrics).clone()
-    }
-
-    fn submit(&self, req: Request) -> Result<f32, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        let pending = Pending {
-            req,
-            enqueued,
-            deadline: self.default_deadline.and_then(|b| enqueued.checked_add(b)),
-            reply,
-            trace: None,
-        };
-        if let Err(e) = self.queue.push(pending) {
-            if matches!(e, ServeError::Overloaded { .. }) {
-                lock(&self.metrics).shed += 1;
-                if mgbr_obs::enabled() {
-                    mgbr_obs::metrics().counter("serve.shed").inc();
-                }
-            }
-            return Err(e);
-        }
-        rx.recv().map_err(|_| ServeError::Canceled)?.result
-    }
-}
-
-impl Drop for MicroBatcher {
-    fn drop(&mut self) {
-        self.queue.shutdown();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgbr_core::{Mgbr, MgbrConfig};
+    use crate::chaos::ChaosInjector;
+    use crate::{PoolConfig, WorkerPool};
+    use mgbr_core::{FrozenModel, Mgbr, MgbrConfig};
     use mgbr_data::{synthetic, SyntheticConfig};
+    use std::thread;
 
     fn frozen() -> Arc<FrozenModel> {
         let ds = synthetic::generate(&SyntheticConfig::tiny());
         Arc::new(Mgbr::new(MgbrConfig::tiny(), &ds).freeze())
     }
 
+    /// The single-queue micro-batcher: a pool of one batching worker.
+    fn one_worker(batcher: BatcherConfig) -> PoolConfig {
+        PoolConfig {
+            workers: 1,
+            batcher,
+            ..PoolConfig::default()
+        }
+    }
+
     #[test]
     fn batched_scores_match_direct_scorer_bitwise() {
         let model = frozen();
         let direct = Scorer::new(model.clone());
-        let batcher = MicroBatcher::new(model, BatcherConfig::default());
+        let batcher = WorkerPool::new(model, one_worker(BatcherConfig::default()));
         for (u, i) in [(0usize, 0usize), (1, 3), (5, 7)] {
             assert_eq!(
                 batcher.score_item(u, i).unwrap().to_bits(),
@@ -778,14 +603,14 @@ mod tests {
     fn concurrent_submitters_all_get_correct_answers() {
         let model = frozen();
         let direct = Scorer::new(model.clone());
-        let batcher = Arc::new(MicroBatcher::new(
+        let batcher = Arc::new(WorkerPool::new(
             model,
-            BatcherConfig {
+            one_worker(BatcherConfig {
                 max_batch: 8,
                 max_wait: Duration::from_millis(2),
                 queue_cap: 256,
                 default_deadline: None,
-            },
+            }),
         ));
         let mut handles = Vec::new();
         for t in 0..4usize {
@@ -814,14 +639,14 @@ mod tests {
     fn bad_ids_get_bad_request_without_poisoning_neighbors() {
         let model = frozen();
         let nu = model.n_users();
-        let batcher = Arc::new(MicroBatcher::new(
+        let batcher = Arc::new(WorkerPool::new(
             model,
-            BatcherConfig {
+            one_worker(BatcherConfig {
                 max_batch: 4,
                 max_wait: Duration::from_millis(5),
                 queue_cap: 64,
                 default_deadline: None,
-            },
+            }),
         ));
         let good = {
             let b = Arc::clone(&batcher);
@@ -841,12 +666,12 @@ mod tests {
     #[test]
     fn overflow_sheds_with_typed_error() {
         // A zero-capacity queue sheds everything.
-        let batcher = MicroBatcher::new(
+        let batcher = WorkerPool::new(
             frozen(),
-            BatcherConfig {
+            one_worker(BatcherConfig {
                 queue_cap: 0,
                 ..BatcherConfig::default()
-            },
+            }),
         );
         assert!(matches!(
             batcher.score_item(0, 0),
@@ -879,7 +704,7 @@ mod tests {
 
     #[test]
     fn drop_drains_gracefully() {
-        let batcher = MicroBatcher::new(frozen(), BatcherConfig::default());
+        let batcher = WorkerPool::new(frozen(), one_worker(BatcherConfig::default()));
         let _ = batcher.score_item(0, 0).unwrap();
         drop(batcher); // must not hang or panic
     }
@@ -889,12 +714,12 @@ mod tests {
     /// is scored, and the expiry is counted.
     #[test]
     fn zero_deadline_expires_typed_not_scored() {
-        let batcher = MicroBatcher::new(
+        let batcher = WorkerPool::new(
             frozen(),
-            BatcherConfig {
+            one_worker(BatcherConfig {
                 default_deadline: Some(Duration::ZERO),
                 ..BatcherConfig::default()
-            },
+            }),
         );
         for _ in 0..4 {
             assert!(matches!(
@@ -908,95 +733,56 @@ mod tests {
         assert_eq!(m.latency.count(), 0);
     }
 
-    /// A scoring backend that announces when it enters a batched forward
-    /// and then blocks until released — the shim behind the lock-
-    /// discipline regression test.
-    struct GatedScorer {
-        entered: mpsc::Sender<()>,
-        release: Mutex<mpsc::Receiver<()>>,
-    }
-
-    impl BatchScorer for GatedScorer {
-        fn pairs(&self, pairs: &[(usize, usize)]) -> Result<Vec<f32>, ServeError> {
-            let _ = self.entered.send(());
-            let _ = lock(&self.release).recv();
-            Ok(pairs.iter().map(|&(u, i)| (u + i) as f32).collect())
-        }
-        fn pair(&self, user: usize, item: usize) -> Result<f32, ServeError> {
-            Ok((user + item) as f32)
-        }
-        fn triples(&self, t: &[(usize, usize, usize)]) -> Result<Vec<f32>, ServeError> {
-            Ok(t.iter().map(|&(u, i, p)| (u + i + p) as f32).collect())
-        }
-        fn triple(&self, u: usize, i: usize, p: usize) -> Result<f32, ServeError> {
-            Ok((u + i + p) as f32)
-        }
-    }
-
-    /// Regression (ISSUE 7 satellite): the worker must not hold the
-    /// queue lock while scoring a coalesced batch. With a gated scorer
-    /// pinned *inside* the model call, producers must still be able to
-    /// enqueue — if the lock were held across scoring, every push below
-    /// would deadlock against the blocked worker.
+    /// Regression: the worker must not hold the queue lock while scoring
+    /// a coalesced batch. With the only worker stalled *inside* its
+    /// scoring section, producers must still be able to enqueue — if the
+    /// lock were held across scoring, every submission below would block
+    /// until the stall ends.
     #[test]
     fn producers_enqueue_while_worker_is_scoring() {
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        let batcher = MicroBatcher::with_backend(
-            GatedScorer {
-                entered: entered_tx,
-                release: Mutex::new(release_rx),
-            },
-            BatcherConfig {
-                max_batch: 1, // batch 1: the gate traps exactly one request
+        const STALL: Duration = Duration::from_secs(2);
+        let model = frozen();
+        let direct = Scorer::new(Arc::clone(&model));
+        let chaos = ChaosInjector::new();
+        let pool = WorkerPool::new_chaotic(
+            model,
+            one_worker(BatcherConfig {
+                max_batch: 1, // batch 1: the stall traps exactly one request
                 max_wait: Duration::from_micros(1),
                 queue_cap: 16,
                 default_deadline: None,
-            },
-            micro_obs(),
+            }),
+            Arc::clone(&chaos),
         );
-        let b = Arc::new(batcher);
-        let first = {
-            let b = Arc::clone(&b);
-            thread::spawn(move || b.score_item(1, 2))
-        };
-        // Wait until the worker is provably inside the model call.
-        entered_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker entered scoring");
+        chaos.stall(STALL);
+        let first = pool.submit_item(1, 2).expect("admit the first request");
+        // Wait until the worker is provably inside the stalled section.
+        let entered_by = Instant::now() + Duration::from_secs(5);
+        while chaos.scoring_sections() == 0 {
+            assert!(Instant::now() < entered_by, "worker never began scoring");
+            thread::yield_now();
+        }
         // Producers must be able to enqueue concurrently, fast.
         let t0 = Instant::now();
-        let mut waiters = Vec::new();
-        for j in 0..8usize {
-            let (reply, rx) = mpsc::channel();
-            b.queue
-                .push(Pending {
-                    req: Request::Item(j, j),
-                    enqueued: Instant::now(),
-                    deadline: None,
-                    reply,
-                    trace: None,
-                })
-                .expect("enqueue while scoring");
-            waiters.push((j, rx));
-        }
+        let waiters: Vec<_> = (0..8usize)
+            .map(|j| (j, pool.submit_item(j, j).expect("enqueue while scoring")))
+            .collect();
         assert!(
-            t0.elapsed() < Duration::from_secs(1),
+            t0.elapsed() < STALL / 4,
             "enqueue blocked behind a scoring batch: the worker is \
              holding the queue lock across the model call"
         );
-        // Release the gate for the first batch and all subsequent ones.
-        for _ in 0..16 {
-            let _ = release_tx.send(());
-        }
-        assert_eq!(first.join().unwrap().unwrap(), 3.0);
-        for (j, rx) in waiters {
-            let got = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("queued request answered")
-                .result
-                .expect("scored");
-            assert_eq!(got, (2 * j) as f32);
+        // Lift the stall for every later batch.
+        chaos.clear();
+        assert_eq!(
+            first.wait().unwrap().to_bits(),
+            direct.score_item(1, 2).unwrap().to_bits()
+        );
+        for (j, h) in waiters {
+            assert_eq!(
+                h.wait().expect("queued request scored").to_bits(),
+                direct.score_item(j, j).unwrap().to_bits()
+            );
         }
     }
 }

@@ -38,6 +38,8 @@ pub struct ChaosInjector {
     die_batches: AtomicU64,
     /// Signed clock skew (µs) applied to the deadline-expiry timestamp.
     skew_us: AtomicI64,
+    /// Scoring sections entered so far (counted before any fault fires).
+    entered: AtomicU64,
 }
 
 impl ChaosInjector {
@@ -66,6 +68,13 @@ impl ChaosInjector {
         self.skew_us.store(skew_us, Ordering::Relaxed);
     }
 
+    /// Scoring sections the pool's workers have entered so far. A test
+    /// that needs a worker provably inside a stalled section waits for
+    /// this to move.
+    pub fn scoring_sections(&self) -> u64 {
+        self.entered.load(Ordering::SeqCst)
+    }
+
     /// Turns every fault off.
     pub fn clear(&self) {
         self.stall_us.store(0, Ordering::Relaxed);
@@ -78,6 +87,7 @@ impl ChaosInjector {
     /// outside every lock, so a fault never poisons queue or metrics
     /// state.
     pub(crate) fn pre_score(&self) {
+        self.entered.fetch_add(1, Ordering::SeqCst);
         let us = self.stall_us.load(Ordering::Relaxed);
         if us > 0 {
             std::thread::sleep(Duration::from_micros(us));

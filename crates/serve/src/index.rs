@@ -1,10 +1,10 @@
-//! Pruned top-K retrieval: k-means coarse clustering over the frozen
-//! item embeddings for candidate generation, then exact-score rerank.
+//! Top-K retrieval: k-means coarse clustering over the frozen item
+//! embeddings for candidate generation, then exact-score rerank.
 //!
-//! The exhaustive [`Retriever`] scores the whole catalog for every
-//! query — O(|I|) forwards per request. [`ItemIndex`] clusters the
-//! frozen item embeddings once at build time (deterministic Lloyd
-//! iterations with farthest-point seeding) and per query:
+//! An exhaustive scan scores the whole catalog for every query — O(|I|)
+//! forwards per request. [`ItemIndex`] clusters the frozen item
+//! embeddings once at build time (deterministic Lloyd iterations with
+//! farthest-point seeding) and per query:
 //!
 //! 1. scores each cluster's **medoid item** with the real model (the
 //!    coarse stage speaks the model's own scoring function, not a
@@ -12,13 +12,14 @@
 //! 2. keeps the `nprobe` best clusters (descending medoid score, ties
 //!    toward the lower cluster id),
 //! 3. exact-reranks the union of their members — sorted ascending by
-//!    id, scored by the same chunked forward and ranked by the same
-//!    deterministic partial-select as the exhaustive path.
+//!    id, scored in [`IndexConfig::chunk`]-sized forwards and ranked by
+//!    the deterministic partial-select `mgbr_tensor::top_k_slice`.
 //!
-//! Because candidates are reranked with exact scores under the same
-//! total order (score descending, id ascending on ties), retrieval with
-//! `nprobe == n_clusters` returns the **identical id set and bitwise
-//! identical scores** to the exhaustive retriever, and recall@K is
+//! Because candidates are reranked with exact scores under one total
+//! order (score descending, id ascending on ties), retrieval with
+//! `nprobe == n_clusters` is the exhaustive ranking: the **identical id
+//! sequence and bitwise identical scores** to sorting the whole
+//! catalog's `FrozenModel::logits_a`, and recall@K is
 //! monotone non-decreasing in `nprobe` (candidate sets are nested and
 //! any true top-K item that is a candidate survives the rerank) — both
 //! properties pinned by `tests/index_properties.rs`. The synthetic
@@ -29,8 +30,19 @@
 use std::sync::Arc;
 
 use mgbr_core::FrozenModel;
+use mgbr_tensor::top_k_slice;
 
-use crate::{Hit, Retriever, ServeError};
+use crate::{Scorer, ServeError};
+
+/// One retrieval result: a candidate item id and its pre-sigmoid score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hit {
+    /// Item id.
+    pub id: usize,
+    /// The model's Task A logit for this item (σ is monotone, so ranking
+    /// by logit is ranking by the Eq. 16 score).
+    pub score: f32,
+}
 
 /// Knobs for [`ItemIndex::build`].
 #[derive(Debug, Clone)]
@@ -42,7 +54,9 @@ pub struct IndexConfig {
     pub max_iters: usize,
     /// Seed for the farthest-point initialization's first center.
     pub seed: u64,
-    /// Candidates scored per rerank forward (see [`Retriever`]).
+    /// Candidates scored per forward pass (`0` is treated as 1). Bounds
+    /// the scoring workspace to `chunk` rows whatever the catalog size;
+    /// results are bitwise independent of it (row-local forward).
     pub chunk: usize,
 }
 
@@ -68,10 +82,11 @@ fn d2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// A coarse-quantized retrieval index over one frozen model's item
-/// catalog. Build once, query from one serving thread (owns the rerank
-/// scorer's workspace, like [`Retriever`]).
+/// catalog. Build once, query from one serving thread (owns the scoring
+/// workspace).
 pub struct ItemIndex {
-    retriever: Retriever,
+    scorer: Scorer,
+    chunk: usize,
     /// Member item ids per cluster, ascending. Clusters partition the
     /// catalog: every item appears in exactly one cluster.
     clusters: Vec<Vec<usize>>,
@@ -199,7 +214,8 @@ impl ItemIndex {
         }
 
         Self {
-            retriever: Retriever::with_chunk(model, cfg.chunk),
+            scorer: Scorer::new(model),
+            chunk: cfg.chunk.max(1),
             clusters,
             medoids,
         }
@@ -222,28 +238,39 @@ impl ItemIndex {
 
     /// The underlying frozen model.
     pub fn model(&self) -> &FrozenModel {
-        self.retriever.model()
+        self.scorer.model()
+    }
+
+    /// Task A logits of `user` for `items`, scored `chunk` items per
+    /// forward. Both id lists come from the index itself, so only the
+    /// user is checked (by the caller).
+    fn scores(&self, user: usize, items: &[usize]) -> Vec<f32> {
+        let (model, ws) = (self.scorer.model(), self.scorer.workspace());
+        let mut scores = Vec::with_capacity(items.len());
+        for chunk in items.chunks(self.chunk) {
+            scores.extend(model.logits_a(ws, user, chunk));
+        }
+        scores
     }
 
     /// Top-`k` items for one initiator, probing the `nprobe` most
     /// promising clusters (`nprobe` is clamped to `1..=n_clusters`;
-    /// `nprobe >= n_clusters` reproduces the exhaustive retriever
-    /// bit-for-bit). Returns at most `k` hits, descending by exact
-    /// score, ties toward the lower item id.
+    /// `nprobe >= n_clusters` is the exhaustive ranking, bit-for-bit).
+    /// Returns at most `k` hits, descending by exact score, ties toward
+    /// the lower item id.
     pub fn top_items(&self, user: usize, k: usize, nprobe: usize) -> Result<Vec<Hit>, ServeError> {
+        self.scorer.check_user(user)?;
         let probe = nprobe.clamp(1, self.n_clusters());
         // Coarse stage: rank clusters by their medoid's exact model
         // score (descending, ties toward the lower cluster id — medoid
         // list position is cluster id).
-        let medoid_hits = self.retriever.top_items(user, probe, Some(&self.medoids))?;
+        let medoid_scores = self.scores(user, &self.medoids);
         let mut candidates = Vec::new();
-        for hit in &medoid_hits {
-            if let Some(c) = self.medoids.iter().position(|&m| m == hit.id) {
-                candidates.extend_from_slice(&self.clusters[c]);
-            }
+        for c in top_k_slice(&medoid_scores, probe) {
+            candidates.extend_from_slice(&self.clusters[c]);
         }
         // Ascending ids: the rerank's tie order (candidate position)
-        // coincides with the exhaustive retriever's (item id).
+        // coincides with the exhaustive ranking's (item id).
         candidates.sort_unstable();
         if mgbr_obs::enabled() {
             let reg = mgbr_obs::metrics();
@@ -252,7 +279,17 @@ impl ItemIndex {
             reg.histogram("serve.index.candidates")
                 .record(candidates.len() as u64);
         }
-        self.retriever.top_items(user, k, Some(&candidates))
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let scores = self.scores(user, &candidates);
+        Ok(top_k_slice(&scores, k)
+            .into_iter()
+            .map(|pos| Hit {
+                id: candidates[pos],
+                score: scores[pos],
+            })
+            .collect())
     }
 }
 
@@ -382,6 +419,25 @@ mod tests {
         Arc::new(Mgbr::new(MgbrConfig::tiny(), &ds).freeze())
     }
 
+    /// The reference ranking, sharing no code with the index: the whole
+    /// catalog scored by one `logits_a` call, sorted by descending score
+    /// with ties to the lower id, cut at `k`.
+    fn exhaustive(model: &FrozenModel, user: usize, k: usize) -> Vec<(usize, u32)> {
+        let items: Vec<usize> = (0..model.n_items()).collect();
+        let scores = model.logits_a(&mgbr_tensor::Workspace::new(), user, &items);
+        let mut order = items;
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        order
+            .into_iter()
+            .take(k)
+            .map(|i| (i, scores[i].to_bits()))
+            .collect()
+    }
+
+    fn bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
     #[test]
     fn clusters_partition_the_catalog() {
         let model = frozen();
@@ -418,16 +474,33 @@ mod tests {
     #[test]
     fn full_probe_matches_exhaustive_retriever() {
         let model = frozen();
-        let exhaustive = Retriever::new(Arc::clone(&model));
         let index = ItemIndex::build(Arc::clone(&model), IndexConfig::default());
         for user in [0usize, 7, 23] {
-            let exact = exhaustive.top_items(user, 10, None).unwrap();
+            let exact = exhaustive(&model, user, 10);
             let pruned = index.top_items(user, 10, index.n_clusters()).unwrap();
-            assert_eq!(exact.len(), pruned.len());
-            for (e, p) in exact.iter().zip(&pruned) {
-                assert_eq!(e.id, p.id, "user {user}");
-                assert_eq!(e.score.to_bits(), p.score.to_bits(), "user {user}");
-            }
+            assert_eq!(bits(&pruned), exact, "user {user}");
+        }
+    }
+
+    /// Chunking bounds memory, never results: chunk 3 and chunk 1024
+    /// give bitwise-equal hits at every probe depth.
+    #[test]
+    fn chunking_does_not_change_results() {
+        let model = frozen();
+        let index = |chunk| {
+            ItemIndex::build(
+                Arc::clone(&model),
+                IndexConfig {
+                    chunk,
+                    ..IndexConfig::default()
+                },
+            )
+        };
+        let (narrow, wide) = (index(3), index(1024));
+        for nprobe in [1, 2, wide.n_clusters()] {
+            let a = narrow.top_items(2, 7, nprobe).unwrap();
+            let b = wide.top_items(2, 7, nprobe).unwrap();
+            assert_eq!(bits(&a), bits(&b), "nprobe {nprobe}");
         }
     }
 
@@ -501,12 +574,7 @@ mod tests {
         // model: full probe must match the new model's exhaustive top-K.
         let pruned = synced.top_items(3, 8, usize::MAX).unwrap();
         assert_eq!(synced.built_generation(), 2);
-        let exact = Retriever::new(next).top_items(3, 8, None).unwrap();
-        assert_eq!(exact.len(), pruned.len());
-        for (e, p) in exact.iter().zip(&pruned) {
-            assert_eq!(e.id, p.id);
-            assert_eq!(e.score.to_bits(), p.score.to_bits());
-        }
+        assert_eq!(bits(&pruned), exhaustive(&next, 3, 8));
     }
 
     #[test]

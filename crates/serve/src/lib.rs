@@ -1,52 +1,49 @@
 //! # mgbr-serve
 //!
 //! Tape-free online inference over frozen MGBR artifacts
-//! ([`mgbr_core::FrozenModel`]): single-request scoring, batched top-K
-//! retrieval over full catalogs, a bounded micro-batcher, and streaming
-//! serving metrics. `std`-only, like the rest of the workspace.
+//! ([`mgbr_core::FrozenModel`]): single-request scoring, a batching
+//! worker pool, pruned top-K retrieval, and streaming serving metrics.
+//! `std`-only, like the rest of the workspace.
 //!
 //! ## Building blocks
 //!
 //! * [`Scorer`] — scores one `(user, item)` (Task A) or `(user, item,
 //!   participant)` (Task B) request, or a batch of independent requests.
-//! * [`Retriever`] — top-K ranking over the full item / participant
-//!   catalog (or a caller-provided candidate subset), backed by the
-//!   deterministic partial-select kernel `mgbr_tensor::top_k_rows`.
-//! * [`MicroBatcher`] — a bounded request queue plus one worker thread
-//!   that coalesces concurrent requests into batches of up to
-//!   `max_batch`, waiting at most `max_wait` for stragglers. A full
-//!   queue sheds load with [`ServeError::Overloaded`] instead of
-//!   blocking the caller.
-//! * [`WorkerPool`] — N batcher workers over one hot-swappable model
-//!   with shared-queue or hash-partitioned admission ([`Admission`]),
-//!   bounded queues with typed shed, non-blocking submission
-//!   ([`ScoreHandle`]), and graceful drain-on-drop across all workers.
+//! * [`WorkerPool`] — the serving front-end: N batching workers over one
+//!   hot-swappable model. Each worker coalesces queued requests into
+//!   batches of up to `max_batch`, waiting at most `max_wait` for
+//!   stragglers ([`BatcherConfig`]); a one-worker pool is the classic
+//!   single-queue micro-batcher. Shared-queue or hash-partitioned
+//!   admission ([`Admission`]), bounded queues that shed with
+//!   [`ServeError::Overloaded`] instead of blocking, non-blocking
+//!   submission ([`ScoreHandle`]), and graceful drain-on-drop.
 //! * **Resilience** — per-request deadlines (expired requests answered
 //!   [`ServeError::DeadlineExceeded`], never scored), SLO-aware early
-//!   shedding from queue-delay percentiles, artifact hot-swap through
+//!   shedding on the exact p99 queue delay, artifact hot-swap through
 //!   [`ArtifactSlot`] with generation-stamped replies ([`Reply`]), and a
 //!   chaos harness (`chaos` module, test/feature-gated) driving the
 //!   `serving_resilience` suite.
-//! * [`ItemIndex`] — pruned top-K retrieval: k-means coarse clustering
+//! * [`ItemIndex`] — top-K item retrieval: k-means coarse clustering
 //!   over the frozen item embeddings for candidate generation, exact-
-//!   score rerank; `nprobe == n_clusters` reproduces the exhaustive
-//!   [`Retriever`] bit-for-bit, smaller `nprobe` trades measured
-//!   recall@K ([`recall_at_k`]) for speedup.
-//! * [`ServeMetrics`] / [`LatencyHistogram`] — p50/p95/p99 latency and
-//!   throughput counters, exportable as JSON via `mgbr-json`.
+//!   score rerank with the deterministic partial-select
+//!   `mgbr_tensor::top_k_slice`; `nprobe == n_clusters` is the exhaustive
+//!   ranking bit-for-bit, smaller `nprobe` trades measured recall@K
+//!   ([`recall_at_k`]) for speedup.
+//! * [`ServeMetrics`] — p50/p95/p99 latency ([`mgbr_obs::GeoHistogram`])
+//!   and throughput counters, exportable as JSON via `mgbr-json`.
 //!
 //! ## Determinism
 //!
 //! The frozen forward is row-local and every kernel it uses is bitwise
 //! deterministic at any `MGBR_THREADS` setting, so a request's score is
 //! identical bits whether it is served alone, inside a retrieval chunk,
-//! or coalesced into a micro-batch with arbitrary neighbors — the
-//! property the `serving_parity` golden test pins down.
+//! or coalesced into a batch with arbitrary neighbors — the property the
+//! `serving_parity` golden test pins down.
 //!
 //! ## Threading model
 //!
 //! [`FrozenModel`] is immutable and `Send + Sync`: share one instance
-//! behind an [`std::sync::Arc`]. [`Scorer`] and [`Retriever`] own a
+//! behind an [`std::sync::Arc`]. [`Scorer`] and [`ItemIndex`] own a
 //! per-instance scratch [`mgbr_tensor::Workspace`] and are therefore
 //! single-threaded by design — create one per serving thread (cheap:
 //! the workspace starts empty and warms up on first use).
@@ -62,18 +59,16 @@ pub mod chaos;
 mod index;
 mod metrics;
 mod pool;
-mod retriever;
 mod scorer;
 mod slo;
 mod swap;
 
 use std::fmt;
 
-pub use batcher::{BatcherConfig, MicroBatcher, Reply};
-pub use index::{recall_at_k, IndexConfig, ItemIndex, StalePolicy, SyncedItemIndex};
-pub use metrics::{LatencyHistogram, ServeMetrics};
+pub use batcher::{BatcherConfig, Reply};
+pub use index::{recall_at_k, Hit, IndexConfig, ItemIndex, StalePolicy, SyncedItemIndex};
+pub use metrics::{latency_json, ServeMetrics};
 pub use pool::{Admission, PoolConfig, ScoreHandle, WorkerPool};
-pub use retriever::{Hit, Retriever};
 pub use scorer::Scorer;
 pub use swap::{ArtifactSlot, SwapReceipt, INITIAL_GENERATION};
 
@@ -82,8 +77,7 @@ pub use swap::{ArtifactSlot, SwapReceipt, INITIAL_GENERATION};
 /// artifact swaps all surface here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The request references ids outside the model's id spaces, or is
-    /// structurally invalid (e.g. `k > 0` with an empty candidate set).
+    /// The request references ids outside the model's id spaces.
     BadRequest(String),
     /// A serving knob (e.g. `MGBR_SERVE_WORKERS`, `MGBR_SERVE_SLO_US`)
     /// was set to a value that does not parse or is out of range. The
@@ -125,7 +119,7 @@ pub enum ServeError {
         /// Generation currently published by the slot.
         current: u64,
     },
-    /// The batcher has been shut down; no further requests are accepted.
+    /// The pool has been shut down; no further requests are accepted.
     ShutDown,
     /// The worker disappeared before answering (reply channel closed).
     Canceled,

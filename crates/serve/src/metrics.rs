@@ -1,75 +1,25 @@
 //! Streaming serving metrics: latency percentiles + throughput counters.
 //!
-//! The histogram math lives in [`mgbr_obs::GeoHistogram`] (the serving
-//! histogram predates the observability crate and was generalized into
-//! it); [`LatencyHistogram`] is a thin microsecond-flavored wrapper that
-//! keeps the serving-facing API and JSON schema (`*_us` keys) unchanged.
+//! Latencies are recorded in microseconds into a [`GeoHistogram`]; the
+//! JSON export keeps the serving schema (`*_us` keys, see
+//! [`latency_json`]).
 
 use mgbr_json::{Json, ToJson};
 use mgbr_obs::GeoHistogram;
 
-/// A fixed-size geometric latency histogram (microsecond samples,
-/// power-of-two buckets).
-///
-/// Percentiles are reported as the upper bound of the bucket containing
-/// the requested quantile, i.e. with ≤ 2× relative resolution — ample
-/// for p50/p95/p99 dashboards while keeping `record` an O(1) increment
-/// with zero allocation.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyHistogram {
-    inner: GeoHistogram,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample, in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        self.inner.record(us);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Largest recorded sample in microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.inner.max()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) in microseconds: the upper bound
-    /// of the bucket containing that sample, capped at the recorded
-    /// maximum. Returns 0 when empty.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        self.inner.percentile(q)
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.inner.merge(&other.inner);
-    }
-}
-
-impl ToJson for LatencyHistogram {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count().to_json()),
-            ("mean_us", self.mean_us().to_json()),
-            ("p50_us", self.percentile_us(0.50).to_json()),
-            ("p95_us", self.percentile_us(0.95).to_json()),
-            ("p99_us", self.percentile_us(0.99).to_json()),
-            ("max_us", self.max_us().to_json()),
-        ])
-    }
+/// The serving JSON view of a microsecond latency histogram: `count`,
+/// `mean_us`, `p50_us`, `p95_us`, `p99_us` and `max_us`. Percentiles are
+/// the upper bound of the power-of-two bucket holding the quantile,
+/// capped at the recorded maximum (see [`GeoHistogram::percentile`]).
+pub fn latency_json(h: &GeoHistogram) -> Json {
+    Json::obj([
+        ("count", h.count().to_json()),
+        ("mean_us", h.mean().to_json()),
+        ("p50_us", h.percentile(0.50).to_json()),
+        ("p95_us", h.percentile(0.95).to_json()),
+        ("p99_us", h.percentile(0.99).to_json()),
+        ("max_us", h.max().to_json()),
+    ])
 }
 
 /// Aggregate serving metrics: request/batch throughput counters plus a
@@ -100,14 +50,13 @@ pub struct ServeMetrics {
     /// SLO burn rate over the short (~256-request) window: the rolling
     /// bad-request ratio (shed + expired + canceled) divided by the 1%
     /// error budget, so `1.0` means failures arrive exactly at budget.
-    /// Pool-wide (0 in per-worker and [`crate::MicroBatcher`]
-    /// snapshots); see `slo.rs`.
+    /// Pool-wide (0 in per-worker snapshots); see `slo.rs`.
     pub burn_rate_short: f64,
     /// SLO burn rate over the long (~4096-request) window — the
     /// confirmation signal that separates sustained burn from a blip.
     pub burn_rate_long: f64,
-    /// Enqueue-to-reply latency of answered requests.
-    pub latency: LatencyHistogram,
+    /// Enqueue-to-reply latency of answered requests, in microseconds.
+    pub latency: GeoHistogram,
 }
 
 impl ServeMetrics {
@@ -159,7 +108,7 @@ impl ToJson for ServeMetrics {
             ("burn_rate_short", self.burn_rate_short.to_json()),
             ("burn_rate_long", self.burn_rate_long.to_json()),
             ("mean_batch", self.mean_batch().to_json()),
-            ("latency", self.latency.to_json()),
+            ("latency", latency_json(&self.latency)),
         ])
     }
 }
@@ -168,40 +117,49 @@ impl ToJson for ServeMetrics {
 mod tests {
     use super::*;
 
+    fn latency_field(m: &ServeMetrics, key: &str) -> f64 {
+        m.to_json()
+            .get("latency")
+            .and_then(|l| l.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("latency.{key} missing"))
+    }
+
     #[test]
     fn percentiles_track_the_distribution() {
-        let mut h = LatencyHistogram::new();
+        let mut m = ServeMetrics::new();
         for _ in 0..90 {
-            h.record_us(10);
+            m.latency.record(10);
         }
         for _ in 0..10 {
-            h.record_us(10_000);
+            m.latency.record(10_000);
         }
-        assert_eq!(h.count(), 100);
+        assert_eq!(latency_field(&m, "count"), 100.0);
         // p50 lands in the 10 µs bucket: upper bound 16 µs.
-        assert!(h.percentile_us(0.50) <= 16, "{}", h.percentile_us(0.50));
+        assert!(latency_field(&m, "p50_us") <= 16.0);
         // p95+ lands in the 10 ms bucket.
-        assert!(h.percentile_us(0.95) >= 10_000);
-        assert_eq!(h.max_us(), 10_000);
-        assert!((h.mean_us() - (90.0 * 10.0 + 10.0 * 10_000.0) / 100.0).abs() < 1e-9);
+        assert!(latency_field(&m, "p95_us") >= 10_000.0);
+        assert_eq!(latency_field(&m, "max_us"), 10_000.0);
+        let mean = latency_field(&m, "mean_us");
+        assert!((mean - (90.0 * 10.0 + 10.0 * 10_000.0) / 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_histogram_reports_zeros() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile_us(0.99), 0);
-        assert_eq!(h.mean_us(), 0.0);
+        let m = ServeMetrics::new();
+        assert_eq!(latency_field(&m, "p99_us"), 0.0);
+        assert_eq!(latency_field(&m, "mean_us"), 0.0);
     }
 
     #[test]
     fn merge_is_additive() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record_us(5);
-        b.record_us(500);
+        let mut a = ServeMetrics::new();
+        let mut b = ServeMetrics::new();
+        a.latency.record(5);
+        b.latency.record(500);
         a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max_us(), 500);
+        assert_eq!(a.latency.count(), 2);
+        assert_eq!(a.latency.max(), 500);
     }
 
     #[test]
@@ -209,7 +167,7 @@ mod tests {
         let mut m = ServeMetrics::new();
         m.requests = 8;
         m.batches = 2;
-        m.latency.record_us(100);
+        m.latency.record(100);
         let j = m.to_json();
         assert_eq!(j.get("requests").and_then(Json::as_usize), Some(8));
         assert_eq!(j.get("mean_batch").and_then(Json::as_f64), Some(4.0));
@@ -226,7 +184,7 @@ mod tests {
         w0.requests = 3;
         w0.batches = 1;
         w0.generation = 2;
-        w0.latency.record_us(50);
+        w0.latency.record(50);
         let mut w1 = ServeMetrics::new();
         w1.requests = 1;
         w1.batches = 1;
@@ -310,36 +268,38 @@ mod tests {
         assert_eq!(a.swaps, 1);
     }
 
-    /// The wrapper must report bit-identical statistics to the shared
-    /// [`GeoHistogram`] it delegates to, for any sample stream — the
-    /// refactor moved the math without changing a single bucket bound.
+    /// The export is byte-identical to the format it had while the
+    /// latency histogram sat behind a serving-specific wrapper type: the
+    /// expected strings were produced by that code for the same samples,
+    /// whose percentiles land in many different buckets.
     #[test]
-    fn wrapper_is_bit_identical_to_geo_histogram() {
-        let mut wrapped = LatencyHistogram::new();
-        let mut direct = GeoHistogram::new();
-        // A stream crossing many buckets: zeros, bucket edges, big spikes.
-        let mut x = 1u64;
-        for i in 0..10_000u64 {
-            let us = match i % 7 {
-                0 => 0,
-                1 => 1,
-                2 => x % 1_000,
-                3 => (1 << (i % 30)) - 1,
-                4 => 1 << (i % 30),
-                5 => 123_456_789,
-                _ => x % 50,
-            };
-            wrapped.record_us(us);
-            direct.record(us);
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+    fn json_export_is_byte_identical_to_the_former_format() {
+        assert_eq!(
+            ServeMetrics::new().to_json().to_string_compact(),
+            "{\"requests\":0,\"batches\":0,\"shed\":0,\"shed_slo\":0,\"deadline_expired\":0,\
+             \"generation\":0,\"swaps\":0,\"burn_rate_short\":0,\"burn_rate_long\":0,\
+             \"mean_batch\":0,\"latency\":{\"count\":0,\"mean_us\":0,\"p50_us\":0,\"p95_us\":0,\
+             \"p99_us\":0,\"max_us\":0}}"
+        );
+        let mut m = ServeMetrics::new();
+        m.requests = 9;
+        m.batches = 4;
+        m.shed = 3;
+        m.shed_slo = 1;
+        m.deadline_expired = 2;
+        m.generation = 5;
+        m.swaps = 4;
+        m.burn_rate_short = 1.25;
+        m.burn_rate_long = 0.5;
+        for us in [0u64, 1, 3, 17, 250, 4_096, 70_000, 5_000, 123_456_789] {
+            m.latency.record(us);
         }
-        assert_eq!(wrapped.count(), direct.count());
-        assert_eq!(wrapped.mean_us().to_bits(), direct.mean().to_bits());
-        assert_eq!(wrapped.max_us(), direct.max());
-        for q in [0.0, 0.01, 0.5, 0.95, 0.99, 0.999, 1.0] {
-            assert_eq!(wrapped.percentile_us(q), direct.percentile(q), "q={q}");
-        }
+        assert_eq!(
+            m.to_json().to_string_compact(),
+            "{\"requests\":9,\"batches\":4,\"shed\":3,\"shed_slo\":1,\"deadline_expired\":2,\
+             \"generation\":5,\"swaps\":4,\"burn_rate_short\":1.25,\"burn_rate_long\":0.5,\
+             \"mean_batch\":2.25,\"latency\":{\"count\":9,\"mean_us\":13726239.555555556,\
+             \"p50_us\":256,\"p95_us\":123456789,\"p99_us\":123456789,\"max_us\":123456789}}"
+        );
     }
 }

@@ -27,7 +27,7 @@
 //!   never scored (see `batcher.rs`).
 //! * **SLO-aware shedding** — with `slo_us` set, admission consults the
 //!   per-queue [`DelayTracker`] and sheds *before* the hard cap when the
-//!   recent p99 queue delay already exceeds the SLO, returning
+//!   recent exact p99 queue delay already exceeds the SLO, returning
 //!   [`ServeError::Overloaded`] with a `retry_after_hint_us` back-off.
 //! * **Hot-swap** — [`WorkerPool::swap_model`] validates a candidate
 //!   artifact and publishes it through the pool's [`ArtifactSlot`];
@@ -46,7 +46,7 @@ use mgbr_core::FrozenModel;
 
 use crate::batcher::{
     lock, next_request_id, run_batch, tail_sampled, ChaosHook, Pending, Reply, ReqTrace, Request,
-    WorkQueue, WorkerCtx, WorkerObs,
+    WorkQueue, WorkerCtx,
 };
 use crate::slo::{BurnRate, DelayTracker};
 use crate::swap::ArtifactSlot;
@@ -199,17 +199,18 @@ impl ScoreHandle {
 ///
 /// See the module docs for the admission policies and resilience
 /// guarantees. The blocking [`Self::score_item`] /
-/// [`Self::score_participant`] mirror [`crate::MicroBatcher`]; the
-/// non-blocking [`Self::submit_item`] / [`Self::submit_participant`]
-/// admit a request and return a [`ScoreHandle`] — the seam an open-loop
-/// load generator needs.
+/// [`Self::score_participant`] submit and wait; the non-blocking
+/// [`Self::submit_item`] / [`Self::submit_participant`] admit a request
+/// and return a [`ScoreHandle`] — the seam an open-loop load generator
+/// needs. With `workers: 1` the pool is a single-queue micro-batcher.
 pub struct WorkerPool {
     queues: Vec<Arc<WorkQueue>>,
     /// Requests shed per queue, all causes (same indexing as `queues`).
     queue_shed: Vec<Arc<AtomicU64>>,
     /// The subset of `queue_shed` decided by the SLO controller.
     queue_shed_slo: Vec<Arc<AtomicU64>>,
-    /// Queue-delay trackers feeding SLO admission (same indexing).
+    /// Queue-delay trackers feeding SLO admission (same indexing);
+    /// empty when the pool has no SLO.
     delays: Vec<Arc<DelayTracker>>,
     slot: Arc<ArtifactSlot>,
     swaps: AtomicU64,
@@ -221,7 +222,6 @@ pub struct WorkerPool {
     n_workers: usize,
     admission: Admission,
     queue_cap: usize,
-    slo_us: Option<u64>,
     default_deadline: Option<Duration>,
     trace_sample: Option<u64>,
 }
@@ -304,9 +304,12 @@ impl WorkerPool {
             (0..n_queues).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let queue_shed_slo: Vec<Arc<AtomicU64>> =
             (0..n_queues).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let delays: Vec<Arc<DelayTracker>> = (0..n_queues)
-            .map(|_| Arc::new(DelayTracker::new()))
-            .collect();
+        let delays: Vec<Arc<DelayTracker>> = match cfg.slo_us {
+            Some(slo_us) => (0..n_queues)
+                .map(|_| Arc::new(DelayTracker::new(slo_us)))
+                .collect(),
+            None => Vec::new(),
+        };
         let slot = Arc::new(ArtifactSlot::new(model));
         let burn = Arc::new(BurnRate::new());
         let mut worker_metrics = Vec::with_capacity(n_workers);
@@ -321,16 +324,12 @@ impl WorkerPool {
             worker_metrics.push(Arc::clone(&metrics));
             let ctx = WorkerCtx {
                 metrics,
-                obs: WorkerObs {
-                    batch_size_hist: format!("serve.pool.w{w}.batch_size"),
-                    requests_counter: format!("serve.pool.w{w}.requests"),
-                    latency_hist: "serve.pool.latency_us".to_string(),
-                    deadline_counter: "serve.pool.deadline_exceeded".to_string(),
-                },
+                batch_size_hist: format!("serve.pool.w{w}.batch_size"),
+                requests_counter: format!("serve.pool.w{w}.requests"),
                 chaos: chaos.clone(),
-                delays: Some(Arc::clone(&delays[q])),
+                delays: delays.get(q).cloned(),
                 worker: w as u64,
-                burn: Some(Arc::clone(&burn)),
+                burn: Arc::clone(&burn),
             };
             let slot_w = Arc::clone(&slot);
             let wcfg = batcher.clone();
@@ -351,7 +350,6 @@ impl WorkerPool {
             n_workers,
             admission: cfg.admission,
             queue_cap: batcher.queue_cap,
-            slo_us: cfg.slo_us,
             default_deadline: batcher.default_deadline,
             trace_sample: cfg.trace_sample,
         }
@@ -483,16 +481,12 @@ impl WorkerPool {
         // already blows the SLO, admitting one more request only makes
         // it later — reject now with a back-off hint instead of scoring
         // it after its usefulness expired. Checked before the hard cap.
-        if let Some(slo) = self.slo_us {
-            if let Some(p99) = self.delays[q].p99_us(enqueued) {
-                if p99 > slo {
-                    self.shed(q, true, trace, enqueued);
-                    return Err(ServeError::Overloaded {
-                        capacity: self.queue_cap,
-                        retry_after_hint_us: p99.saturating_sub(slo).max(1),
-                    });
-                }
-            }
+        if let Some(hint) = self.delays.get(q).and_then(|t| t.shed_hint_us(enqueued)) {
+            self.shed(q, true, trace, enqueued);
+            return Err(ServeError::Overloaded {
+                capacity: self.queue_cap,
+                retry_after_hint_us: hint,
+            });
         }
         let (reply, rx) = mpsc::channel();
         let pending = Pending {

@@ -38,7 +38,7 @@ impl Scorer {
         &self.model
     }
 
-    /// Scratch workspace (shared with the retriever built on top).
+    /// Scratch workspace (shared with the [`crate::ItemIndex`] built on top).
     pub(crate) fn workspace(&self) -> &Workspace {
         &self.ws
     }
@@ -53,7 +53,7 @@ impl Scorer {
         Ok(())
     }
 
-    pub(crate) fn check_item(&self, item: usize) -> Result<(), ServeError> {
+    fn check_item(&self, item: usize) -> Result<(), ServeError> {
         if item >= self.model.n_items() {
             return Err(ServeError::BadRequest(format!(
                 "item id {item} out of range (n_items = {})",
@@ -63,7 +63,7 @@ impl Scorer {
         Ok(())
     }
 
-    pub(crate) fn check_participant(&self, p: usize) -> Result<(), ServeError> {
+    fn check_participant(&self, p: usize) -> Result<(), ServeError> {
         if p >= self.model.n_users() {
             return Err(ServeError::BadRequest(format!(
                 "participant id {p} out of range (n_users = {})",

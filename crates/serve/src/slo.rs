@@ -2,12 +2,13 @@
 //!
 //! The pool's workers record each drained request's **queue delay**
 //! (enqueue → drain, i.e. the latency the request accumulated before any
-//! scoring happened) into a [`mgbr_obs::GeoHistogram`]. At admission
-//! time the controller compares the recent window's **deepest tracked
-//! percentile** (p99) against the configured SLO and sheds *before* the
-//! hard queue cap when the backlog is already hopeless — a request that
-//! would sit past its SLO in the queue is cheaper to reject now, with a
-//! back-off hint, than to score late.
+//! scoring happened), counting the delays above the SLO as they go. At
+//! admission time the controller sheds *before* the hard queue cap when
+//! the recent window's exact p99 exceeds the SLO — a request that would
+//! sit past its SLO in the queue is cheaper to reject now, with a
+//! back-off hint, than to score late. The window's delays also land in
+//! a [`mgbr_obs::GeoHistogram`], whose power-of-two p99 bucket bound
+//! sizes the back-off hint only, never the shed decision.
 //!
 //! The window rotates every [`WINDOW_BATCHES`] drained batches **or**
 //! once it is older than [`WINDOW_MAX_AGE`], whichever comes first, so a
@@ -43,6 +44,8 @@ const WINDOW_MAX_AGE: Duration = Duration::from_millis(250);
 
 struct DelayWindow {
     hist: GeoHistogram,
+    /// Delays in this window strictly above the SLO.
+    over: u64,
     batches: u64,
     /// When this window started (last rotation), against the same
     /// monotonic clock the callers pass in.
@@ -52,6 +55,7 @@ struct DelayWindow {
 impl DelayWindow {
     fn rotate(&mut self, now: Instant) {
         self.hist.clear();
+        self.over = 0;
         self.batches = 0;
         self.started = now;
     }
@@ -63,32 +67,37 @@ impl DelayWindow {
     }
 }
 
-/// Windowed queue-delay percentile tracker feeding SLO-aware early
-/// shedding. One per queue (pool-wide under shared admission, per
-/// partition under hash partitioning, matching the shed-count indexing).
+/// Windowed queue-delay tracker feeding SLO-aware early shedding. One
+/// per queue (pool-wide under shared admission, per partition under hash
+/// partitioning, matching the shed-count indexing), built only when the
+/// pool has an SLO.
 ///
 /// Callers pass in `now` (the admission / batch timestamp they already
 /// took) so the tracker itself never reads the clock — the batch hot
 /// loop keeps its one-timestamp-per-batch discipline.
 pub(crate) struct DelayTracker {
     inner: Mutex<DelayWindow>,
+    slo_us: u64,
     max_age: Duration,
 }
 
 impl DelayTracker {
-    pub(crate) fn new() -> Self {
-        Self::with_max_age(WINDOW_MAX_AGE)
+    /// A tracker judging queue delays against `slo_us`.
+    pub(crate) fn new(slo_us: u64) -> Self {
+        Self::with_max_age(slo_us, WINDOW_MAX_AGE)
     }
 
     /// Tracker with a custom staleness bound (tests shrink it so stale
     /// rotation is observable without sleeping for the production bound).
-    pub(crate) fn with_max_age(max_age: Duration) -> Self {
+    pub(crate) fn with_max_age(slo_us: u64, max_age: Duration) -> Self {
         Self {
             inner: Mutex::new(DelayWindow {
                 hist: GeoHistogram::new(),
+                over: 0,
                 batches: 0,
                 started: Instant::now(),
             }),
+            slo_us,
             max_age,
         }
     }
@@ -103,6 +112,7 @@ impl DelayTracker {
         w.rotate_if_stale(now, self.max_age);
         for d in delays_us {
             w.hist.record(d);
+            w.over += u64::from(d > self.slo_us);
         }
         w.batches += 1;
         if w.batches >= WINDOW_BATCHES {
@@ -110,21 +120,25 @@ impl DelayTracker {
         }
     }
 
-    /// Admission-side: the current window's p99 queue delay in µs, or
-    /// `None` while the window holds fewer than [`MIN_SAMPLES`] samples
-    /// (never shed on a cold tracker). A window stale past the age bound
-    /// is rotated to cold here — this is the liveness path: while the
-    /// controller sheds 100%, no batches drain, so *this* call is the
-    /// only place the stale window can be retired. `now` is the
+    /// Admission-side: `Some(retry_after_hint_us)` when the current
+    /// window's exact p99 queue delay exceeds the SLO, `None` to admit.
+    /// With `n` delays in the window the p99 is the `⌈0.99·n⌉`-th
+    /// smallest, so it exceeds the SLO exactly when more than
+    /// `n − ⌈0.99·n⌉` delays do. The hint is the window's p99 bucket
+    /// bound minus the SLO, at least 1 µs. A window with fewer than
+    /// [`MIN_SAMPLES`] samples never sheds. A window stale past the age
+    /// bound is rotated to cold here — this is the liveness path: while
+    /// the controller sheds 100%, no batches drain, so *this* call is
+    /// the only place the stale window can be retired. `now` is the
     /// admission timestamp the pool already took.
-    pub(crate) fn p99_us(&self, now: Instant) -> Option<u64> {
+    pub(crate) fn shed_hint_us(&self, now: Instant) -> Option<u64> {
         let mut w = lock(&self.inner);
         w.rotate_if_stale(now, self.max_age);
-        if w.hist.count() >= MIN_SAMPLES {
-            Some(w.hist.percentile(0.99))
-        } else {
-            None
+        let n = w.hist.count();
+        if n < MIN_SAMPLES || w.over <= n - (n * 99).div_ceil(100) {
+            return None;
         }
+        Some(w.hist.percentile(0.99).saturating_sub(self.slo_us).max(1))
     }
 }
 
@@ -242,23 +256,40 @@ impl BurnRate {
 mod tests {
     use super::*;
 
+    /// SLO of the unit tests, in µs.
+    const SLO: u64 = 5_000;
+
     #[test]
     fn cold_tracker_never_sheds() {
-        let t = DelayTracker::new();
+        let t = DelayTracker::new(SLO);
         let now = Instant::now();
-        assert_eq!(t.p99_us(now), None);
+        assert_eq!(t.shed_hint_us(now), None);
         t.record_batch(now, (0..MIN_SAMPLES - 1).map(|_| 1_000_000));
-        assert_eq!(t.p99_us(now), None, "below the sample floor");
+        assert_eq!(t.shed_hint_us(now), None, "below the sample floor");
         t.record_batch(now, [1_000_000]);
-        assert!(t.p99_us(now).unwrap() >= 1_000_000);
+        assert!(t.shed_hint_us(now).unwrap() >= 1_000_000 - SLO);
+    }
+
+    /// The shed decision follows the window's exact p99, not its bucket
+    /// bound: 6000 µs shares the 4096–8191 µs bucket with 4200 µs, so a
+    /// bucket p99 reads above a 5000 µs SLO in both windows below.
+    #[test]
+    fn exact_p99_decides_the_shed() {
+        let now = Instant::now();
+        let t = DelayTracker::new(SLO);
+        t.record_batch(now, (0..99).map(|_| 4_200).chain([6_000]));
+        assert_eq!(t.shed_hint_us(now), None, "true p99 is 4200 µs");
+        let t = DelayTracker::new(SLO);
+        t.record_batch(now, (0..98).map(|_| 4_200).chain([6_000, 6_000]));
+        assert_eq!(t.shed_hint_us(now), Some(1_000), "true p99 is 6000 µs");
     }
 
     #[test]
     fn window_rotation_forgets_old_overload() {
-        let t = DelayTracker::new();
+        let t = DelayTracker::new(SLO);
         let now = Instant::now();
         t.record_batch(now, (0..MIN_SAMPLES).map(|_| 50_000));
-        assert!(t.p99_us(now).is_some());
+        assert!(t.shed_hint_us(now).is_some());
         // Drain enough healthy batches to rotate the window: the old
         // spike must be forgotten and the tracker goes cold again.
         for _ in 0..WINDOW_BATCHES {
@@ -269,7 +300,7 @@ mod tests {
         for _ in 0..WINDOW_BATCHES {
             t.record_batch(now, std::iter::empty());
         }
-        assert_eq!(t.p99_us(now), None, "rotation cleared the window");
+        assert_eq!(t.shed_hint_us(now), None, "rotation cleared the window");
     }
 
     /// Liveness regression: in the full-shed state no batches drain, so
@@ -280,23 +311,23 @@ mod tests {
     #[test]
     fn stale_window_goes_cold_without_drained_batches() {
         let max_age = Duration::from_millis(10);
-        let t = DelayTracker::with_max_age(max_age);
+        let t = DelayTracker::with_max_age(SLO, max_age);
         let t0 = Instant::now();
         t.record_batch(t0, (0..MIN_SAMPLES).map(|_| 1_000_000));
         assert!(
-            t.p99_us(t0).is_some(),
+            t.shed_hint_us(t0).is_some(),
             "fresh overloaded window sheds as before"
         );
         // No drains happen (everything is being shed). Once the window
         // ages past the bound, admission-side reads must rotate it cold.
         let later = t0 + max_age;
         assert_eq!(
-            t.p99_us(later),
+            t.shed_hint_us(later),
             None,
-            "stale window must rotate cold from p99_us alone"
+            "stale window must rotate cold from shed_hint_us alone"
         );
         // And it stays cold on re-read (rotation reset the clock too).
-        assert_eq!(t.p99_us(later), None);
+        assert_eq!(t.shed_hint_us(later), None);
     }
 
     #[test]
@@ -348,13 +379,13 @@ mod tests {
     #[test]
     fn record_into_stale_window_drops_ancient_samples() {
         let max_age = Duration::from_millis(10);
-        let t = DelayTracker::with_max_age(max_age);
+        let t = DelayTracker::with_max_age(SLO, max_age);
         let t0 = Instant::now();
         t.record_batch(t0, (0..MIN_SAMPLES).map(|_| 1_000_000));
         let later = t0 + max_age;
         t.record_batch(later, (0..4u64).map(|_| 10));
         assert_eq!(
-            t.p99_us(later),
+            t.shed_hint_us(later),
             None,
             "only the 4 fresh samples remain — below the shed floor"
         );

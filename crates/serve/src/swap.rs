@@ -27,8 +27,8 @@ use crate::batcher::lock;
 use crate::ServeError;
 
 /// The generation stamped before any swap has happened. Generation 0 is
-/// reserved for "not generation-tracked" (e.g. [`crate::MicroBatcher`]
-/// replies).
+/// reserved for "no generation": the reply of a worker that vanished
+/// before answering (see [`crate::Reply::generation`]).
 pub const INITIAL_GENERATION: u64 = 1;
 
 /// Receipt of a successful artifact swap: the generation fence. Every

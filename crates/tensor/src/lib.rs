@@ -18,7 +18,7 @@
 //!   state training performs no per-op heap allocation.
 //! * Tape-free serving kernels ([`affine_act_into`],
 //!   [`mix_col_blocks_into`]) and deterministic partial top-k selection
-//!   ([`top_k_rows`]) backing the frozen-model inference path, all with
+//!   ([`top_k_slice`]) backing the frozen-model inference path, all with
 //!   the same bitwise any-thread-count guarantee.
 //! * A deterministic, dependency-free PCG32 RNG ([`Pcg32`]) with Gaussian
 //!   and Xavier initializers, so every experiment in the repo is exactly
@@ -47,4 +47,4 @@ pub use rng::{Pcg32, Pcg32State};
 pub use shape::{Shape, ShapeError};
 pub use tensor::Tensor;
 pub use threads::{configure_threads, for_row_bands, get_threads, set_threads};
-pub use topk::{top_k_rows, top_k_slice};
+pub use topk::top_k_slice;

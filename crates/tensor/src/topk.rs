@@ -1,9 +1,9 @@
 //! Deterministic partial top-k selection for retrieval serving.
 //!
-//! [`top_k_rows`] selects, for every row of a score matrix, the indices
-//! of its `k` largest entries in descending score order. It is the
-//! partial-select counterpart of [`Tensor::top_k_row`] (which sorts the
-//! whole row): a bounded binary min-heap keeps only the current best `k`
+//! [`top_k_slice`] selects the indices of a score row's `k` largest
+//! entries in descending score order. It is the partial-select
+//! counterpart of [`crate::Tensor::top_k_row`] (which sorts the whole
+//! row): a bounded binary min-heap keeps only the current best `k`
 //! candidates, so a row costs `O(n log k)` instead of `O(n log n)` —
 //! the difference matters when `n` is a full item catalog and `k` is 10.
 //!
@@ -11,15 +11,10 @@
 //! wins" (the same order the full-sort reference produces via a stable
 //! descending sort), and values compare via `f32::total_cmp`, so the
 //! output is a pure function of the input — no float-comparison
-//! ambiguity. Rows are partitioned into contiguous bands across
-//! `MGBR_THREADS` workers exactly like the GEMM kernels; each row is
-//! selected by exactly one worker with a fully sequential scan, so the
-//! result is bitwise identical at any thread count.
+//! ambiguity — and the scan is sequential, so it is the same at any
+//! thread count.
 
 use std::cmp::Ordering;
-
-use crate::threads::{get_threads, PARALLEL_WORK_THRESHOLD};
-use crate::Tensor;
 
 /// Returns `true` when candidate `a` ranks strictly above `b`:
 /// higher score wins, equal scores go to the lower index.
@@ -56,7 +51,7 @@ fn sift_down(heap: &mut [(f32, usize)], mut i: usize) {
 /// ties broken toward the lower index. `k` is clamped to `row.len()`;
 /// `k == 0` yields an empty vector.
 ///
-/// Matches [`Tensor::top_k_row`]'s stable full-sort reference exactly
+/// Matches [`crate::Tensor::top_k_row`]'s stable full-sort reference exactly
 /// (including on rows with repeated values).
 pub fn top_k_slice(row: &[f32], k: usize) -> Vec<usize> {
     let k = k.min(row.len());
@@ -82,51 +77,11 @@ pub fn top_k_slice(row: &[f32], k: usize) -> Vec<usize> {
     heap.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Per-row top-k over a score matrix: `out[r]` holds the column indices
-/// of the `k` largest entries of row `r`, descending.
-///
-/// Rows are distributed over contiguous bands across the
-/// [`get_threads`] worker count; selection within a row is sequential,
-/// so results are bitwise identical at any thread count.
-pub fn top_k_rows(scores: &Tensor, k: usize) -> Vec<Vec<usize>> {
-    let rows = scores.rows();
-    let cols = scores.cols();
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); rows];
-    if rows == 0 || k == 0 {
-        return out;
-    }
-    let threads = get_threads().min(rows);
-    // A row costs roughly one compare per element plus heap churn.
-    if threads <= 1 || rows * cols * 4 < PARALLEL_WORK_THRESHOLD {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = top_k_slice(scores.row(r), k);
-        }
-        return out;
-    }
-    let band_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut r0 = 0usize;
-        while r0 < rows {
-            let r1 = (r0 + band_rows).min(rows);
-            let (band, tail) = rest.split_at_mut(r1 - r0);
-            rest = tail;
-            scope.spawn(move || {
-                for (i, slot) in band.iter_mut().enumerate() {
-                    *slot = top_k_slice(scores.row(r0 + i), k);
-                }
-            });
-            r0 = r1;
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Pcg32;
-    use crate::threads::{set_threads, TEST_KNOB_LOCK};
+    use crate::Tensor;
 
     fn reference(t: &Tensor, r: usize, k: usize) -> Vec<usize> {
         t.top_k_row(r, k)
@@ -134,8 +89,6 @@ mod tests {
 
     #[test]
     fn matches_full_sort_reference_on_random_rows() {
-        let _guard = TEST_KNOB_LOCK.lock().unwrap();
-        set_threads(1);
         let mut rng = Pcg32::new(0x70b1, 1);
         for &n in &[1usize, 2, 7, 33, 257] {
             for &k in &[0usize, 1, 3, n / 2, n, n + 5] {
@@ -153,8 +106,6 @@ mod tests {
 
     #[test]
     fn ties_break_toward_lower_index_like_stable_sort() {
-        let _guard = TEST_KNOB_LOCK.lock().unwrap();
-        set_threads(1);
         // Heavy duplication: quantize random scores to a handful of levels.
         let mut rng = Pcg32::new(0x7135, 1);
         for trial in 0..50 {
@@ -172,32 +123,11 @@ mod tests {
 
     #[test]
     fn edge_cases_k_zero_and_k_beyond_n() {
-        let _guard = TEST_KNOB_LOCK.lock().unwrap();
-        set_threads(1);
         let t = Tensor::from_vec(1, 3, vec![2.0, 9.0, 4.0]).unwrap();
         assert!(top_k_slice(t.row(0), 0).is_empty());
         assert_eq!(top_k_slice(t.row(0), 3), vec![1, 2, 0]);
         assert_eq!(top_k_slice(t.row(0), 99), vec![1, 2, 0]);
         let empty: &[f32] = &[];
         assert!(top_k_slice(empty, 5).is_empty());
-        assert!(top_k_rows(&t, 0)[0].is_empty());
-    }
-
-    #[test]
-    fn rows_variant_is_bitwise_identical_across_thread_counts() {
-        let _guard = TEST_KNOB_LOCK.lock().unwrap();
-        let mut rng = Pcg32::new(0xdead, 1);
-        // Large enough that rows*cols*4 crosses PARALLEL_WORK_THRESHOLD.
-        let t = Tensor::from_fn(64, 512, |_, _| (rng.uniform() * 16.0).floor());
-        set_threads(1);
-        let base = top_k_rows(&t, 10);
-        for threads in [2usize, 4] {
-            set_threads(threads);
-            assert_eq!(top_k_rows(&t, 10), base, "threads={threads}");
-        }
-        set_threads(1);
-        for (r, got) in base.iter().enumerate() {
-            assert_eq!(got, &reference(&t, r, 10), "row {r}");
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Serving quickstart: train a tiny MGBR, freeze it to a serving
-//! artifact, load it back, and answer one query per task through the
-//! online-inference stack — with latencies printed.
+//! artifact, load it back, answer one top-K query per task, and score a
+//! request through the batching worker pool — with latencies printed.
 //!
 //! ```sh
 //! cargo run --release --example serving_quickstart
@@ -11,7 +11,9 @@ use std::time::Instant;
 
 use mgbr_core::{train, FrozenModel, Mgbr, MgbrConfig, TrainConfig};
 use mgbr_data::{filter_min_interactions, split_dataset, synthetic, SyntheticConfig};
-use mgbr_serve::Retriever;
+use mgbr_json::ToJson;
+use mgbr_serve::{IndexConfig, ItemIndex, PoolConfig, Scorer, WorkerPool};
+use mgbr_tensor::top_k_slice;
 
 fn main() {
     // 1. Train a tiny model (see examples/quickstart.rs for the full
@@ -57,12 +59,15 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3,
     );
 
-    // 3. Task A: top-10 items for initiator 7 over the full catalog.
-    //    The retriever chunks the catalog through tape-free kernels and
-    //    ranks with the deterministic partial-select.
-    let retriever = Retriever::new(Arc::clone(&loaded));
+    // 3. Task A: top-10 items for initiator 7. Probing every cluster of
+    //    the index scores the full catalog through tape-free kernels and
+    //    ranks with the deterministic partial-select; fewer probes trade
+    //    recall for speed.
+    let index = ItemIndex::build(Arc::clone(&loaded), IndexConfig::default());
     let t_a = Instant::now();
-    let top_items = retriever.top_items(7, 10, None).expect("task A retrieval");
+    let top_items = index
+        .top_items(7, 10, index.n_clusters())
+        .expect("task A retrieval");
     let a_us = t_a.elapsed().as_micros();
     println!("\nTask A — top 10 items for initiator 7 ({a_us} µs):");
     for hit in &top_items {
@@ -70,19 +75,42 @@ fn main() {
     }
 
     // 4. Task B: top-10 participants to invite into the group
-    //    (user 7, best item), excluding the initiator via the
-    //    candidate-subset filter.
+    //    (user 7, best item), every user but the initiator scored in one
+    //    batch and ranked with the same partial-select.
     let best_item = top_items[0].id;
+    let scorer = Scorer::new(Arc::clone(&loaded));
     let candidates: Vec<usize> = (0..loaded.n_users()).filter(|&p| p != 7).collect();
+    let triples: Vec<(usize, usize, usize)> =
+        candidates.iter().map(|&p| (7, best_item, p)).collect();
     let t_b = Instant::now();
-    let top_parts = retriever
-        .top_participants(7, best_item, 10, Some(&candidates))
-        .expect("task B retrieval");
+    let scores = scorer
+        .score_participant_batch(&triples)
+        .expect("task B scoring");
+    let top_parts = top_k_slice(&scores, 10);
     let b_us = t_b.elapsed().as_micros();
     println!("\nTask B — top 10 participants for group (user 7, item {best_item}) ({b_us} µs):");
-    for hit in &top_parts {
-        println!("  user {:>4}  logit {:+.4}", hit.id, hit.score);
+    for pos in top_parts {
+        println!("  user {:>4}  logit {:+.4}", candidates[pos], scores[pos]);
     }
+
+    // 5. Online scoring: the worker pool coalesces concurrent requests
+    //    into batched forwards (same bits as the direct scorer), sheds
+    //    typed errors under overload, and reports latency percentiles.
+    let pool = WorkerPool::new(
+        Arc::clone(&loaded),
+        PoolConfig::from_env().expect("serving env knobs"),
+    );
+    let handle = pool.submit_item(7, best_item).expect("admitted");
+    let score = handle.wait().expect("scored");
+    assert_eq!(
+        score.to_bits(),
+        scorer.score_item(7, best_item).unwrap().to_bits()
+    );
+    println!(
+        "\nPool ({} workers): s({best_item}|7) = {score:+.4}; metrics {}",
+        pool.workers(),
+        pool.metrics().to_json().to_string_compact()
+    );
 
     println!(
         "\nScores are bitwise identical to the training-path scorer — \

@@ -17,7 +17,7 @@ use mgbr_core::{train, train_with_validation, Mgbr, MgbrConfig, TrainConfig, Tra
 use mgbr_data::{split_dataset, synthetic, DataSplit, Dataset, SyntheticConfig};
 use mgbr_nn::checkpoint::{
     load_checkpoint, load_checkpoint_from_file, save_checkpoint, save_checkpoint_atomic, AdamState,
-    CheckpointError, FormatNote, TrainState,
+    CheckpointError, TrainState,
 };
 use mgbr_nn::failpoint::{Fault, IoFault};
 use mgbr_nn::ParamStore;
@@ -283,8 +283,7 @@ fn v2_roundtrip_is_bit_exact_for_random_stores() {
         let mut restored = blank_like(&store);
         let loaded = load_checkpoint(&mut restored, buf.as_slice()).unwrap();
         assert_eq!(store_bits(&store), store_bits(&restored), "seed {seed}");
-        let got = loaded.state.expect("v2 must carry state");
-        assert_eq!(got, state, "seed {seed}");
+        assert_eq!(loaded.state, state, "seed {seed}");
     }
 }
 
@@ -403,62 +402,30 @@ fn prior_checkpoint_survives_torn_replacement_attempt() {
     assert!(matches!(err, CheckpointError::Format(_)), "{err}");
 
     let loaded = load_checkpoint_from_file(&mut victim, &path).unwrap();
-    assert_eq!(loaded.state.as_ref(), Some(&state));
+    assert_eq!(loaded.state, state);
     assert_eq!(store_bits(&store), store_bits(&victim));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
-// v1 → v2 compatibility
+// Retired v1 format
 // ---------------------------------------------------------------------------
 
-fn v1_fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v1_params.ckpt")
-}
-
-/// The committed v1 fixture still restores parameters — and reports the
-/// typed legacy note instead of pretending to carry training state.
-#[test]
-fn v1_fixture_loads_params_with_legacy_note() {
-    let mut store = ParamStore::new();
-    store.add("layer.w", Tensor::zeros(3, 4));
-    store.add("layer.b", Tensor::zeros(1, 4));
-
-    let loaded = load_checkpoint_from_file(&mut store, v1_fixture_path()).unwrap();
-    assert_eq!(loaded.version, 1);
-    assert!(loaded.state.is_none(), "v1 has no optimizer/RNG state");
-    assert_eq!(loaded.note, Some(FormatNote::LegacyV1));
-
-    let ids: Vec<_> = store.iter().map(|(id, _, _)| id).collect();
-    let want_w: Vec<f32> = (0..12).map(|i| i as f32 * 0.5 - 3.0).collect();
-    assert_eq!(store.get(ids[0]).as_slice(), &want_w[..]);
-    assert_eq!(
-        store.get(ids[1]).as_slice(),
-        &[100.0, 101.5, -102.25, 103.0]
-    );
-}
-
-/// The v1 fixture refuses to load into a differently-shaped store.
-#[test]
-fn v1_fixture_rejects_wrong_store() {
-    let mut store = ParamStore::new();
-    store.add("layer.w", Tensor::zeros(4, 3));
-    store.add("layer.b", Tensor::zeros(1, 4));
-    let err = load_checkpoint_from_file(&mut store, v1_fixture_path()).unwrap_err();
-    assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
-}
-
-/// Trainer resume demands training state: pointing it at a v1 file is a
-/// loud typed error, not a silent cold start.
+/// Trainer resume demands a current checkpoint: pointing it at a file of
+/// the retired v1 layout is a loud typed error, not a silent cold start.
 #[test]
 fn trainer_resume_from_v1_file_is_typed_error() {
     let (ds, split) = fixture();
     let dir = scratch("v1_resume");
     let path = dir.join("legacy.ckpt");
 
-    // Write a v1 (params-only) file for exactly this model's store.
+    // A v1 header (magic, version 1, parameter count) for exactly this
+    // model's store.
     let model = Mgbr::new(MgbrConfig::tiny(), &ds);
-    mgbr_nn::save_params_to_file(&model.store, &path).unwrap();
+    let mut v1 = b"MGBRCKPT".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&(model.store.len() as u32).to_le_bytes());
+    std::fs::write(&path, v1).unwrap();
 
     let tc = TrainConfig {
         epochs: 1,
@@ -466,7 +433,10 @@ fn trainer_resume_from_v1_file_is_typed_error() {
     };
     let mut fresh = Mgbr::new(MgbrConfig::tiny(), &ds);
     let err = train(&mut fresh, &ds, &split, &tc).unwrap_err();
-    assert!(matches!(err, TrainError::ConfigMismatch(_)), "{err}");
-    assert!(err.to_string().contains("legacy v1"), "{err}");
+    assert!(
+        matches!(err, TrainError::Checkpoint(CheckpointError::Format(_))),
+        "{err}"
+    );
+    assert!(err.to_string().contains("unsupported version 1"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

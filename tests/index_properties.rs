@@ -1,16 +1,17 @@
-//! Property suite for the pruned retrieval index (ISSUE 7): across
-//! random generator seeds and **all 6 ablation variants**, full-probe
+//! Property suite for the pruned retrieval index: across random
+//! generator seeds and **all 6 ablation variants**, full-probe
 //! retrieval must return the identical id set and bitwise-identical
-//! scores to the exhaustive [`Retriever`]; partial-probe recall@K must
-//! be monotone non-decreasing in `nprobe`; and pruned retrieval must be
-//! bitwise stable across kernel thread counts.
+//! scores to an exhaustive ranking computed here without any index
+//! code; partial-probe recall@K must be monotone non-decreasing in
+//! `nprobe`; and pruned retrieval must be bitwise stable across kernel
+//! thread counts.
 
 use std::sync::Arc;
 
 use mgbr_core::{FrozenModel, Mgbr, MgbrConfig, MgbrVariant};
 use mgbr_data::{synthetic, SyntheticConfig};
-use mgbr_serve::{recall_at_k, IndexConfig, ItemIndex, Retriever};
-use mgbr_tensor::set_threads;
+use mgbr_serve::{recall_at_k, Hit, IndexConfig, ItemIndex};
+use mgbr_tensor::{set_threads, Workspace};
 
 fn frozen(variant: MgbrVariant, seed: u64) -> Arc<FrozenModel> {
     let ds = synthetic::generate(&SyntheticConfig {
@@ -18,6 +19,24 @@ fn frozen(variant: MgbrVariant, seed: u64) -> Arc<FrozenModel> {
         ..SyntheticConfig::tiny()
     });
     Arc::new(Mgbr::new(MgbrConfig::tiny().with_variant(variant), &ds).freeze())
+}
+
+/// The exhaustive reference ranking: every catalog item scored by one
+/// `FrozenModel::logits_a` call, sorted by descending score with ties to
+/// the lower id, cut at `k`.
+fn exhaustive(model: &FrozenModel, user: usize, k: usize) -> Vec<Hit> {
+    let items: Vec<usize> = (0..model.n_items()).collect();
+    let scores = model.logits_a(&Workspace::new(), user, &items);
+    let mut order = items;
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    order
+        .into_iter()
+        .take(k)
+        .map(|id| Hit {
+            id,
+            score: scores[id],
+        })
+        .collect()
 }
 
 fn index_cfg() -> IndexConfig {
@@ -35,13 +54,12 @@ fn full_probe_is_bitwise_identical_to_exhaustive_for_all_variants() {
     for variant in MgbrVariant::all() {
         for seed in [7u64, 20260809] {
             let model = frozen(variant, seed);
-            let exhaustive = Retriever::new(Arc::clone(&model));
             let index = ItemIndex::build(Arc::clone(&model), index_cfg());
             assert!(index.n_clusters() >= 1);
             let n_items = model.n_items();
             for user in [0usize, 13, 31, 59] {
                 for k in [1usize, 10, n_items, n_items + 5] {
-                    let exact = exhaustive.top_items(user, k, None).expect("exhaustive");
+                    let exact = exhaustive(&model, user, k);
                     let pruned = index
                         .top_items(user, k, index.n_clusters())
                         .expect("full probe");
@@ -72,10 +90,9 @@ fn full_probe_is_bitwise_identical_to_exhaustive_for_all_variants() {
 fn partial_probe_recall_is_monotone_in_nprobe() {
     for variant in MgbrVariant::all() {
         let model = frozen(variant, 99);
-        let exhaustive = Retriever::new(Arc::clone(&model));
         let index = ItemIndex::build(Arc::clone(&model), index_cfg());
         for user in [2usize, 17, 44] {
-            let exact = exhaustive.top_items(user, 10, None).expect("exhaustive");
+            let exact = exhaustive(&model, user, 10);
             let mut prev = 0.0f64;
             for nprobe in 1..=index.n_clusters() {
                 let pruned = index.top_items(user, 10, nprobe).expect("pruned");
@@ -140,7 +157,6 @@ fn index_build_is_deterministic_for_all_variants() {
 #[test]
 fn pruned_hits_carry_exact_scores() {
     let model = frozen(MgbrVariant::Full, 3);
-    let exhaustive = Retriever::new(Arc::clone(&model));
     let index = ItemIndex::build(Arc::clone(&model), index_cfg());
     let sizes = index.cluster_sizes();
     let max_cluster: usize = sizes.iter().copied().max().unwrap_or(0);
@@ -150,9 +166,7 @@ fn pruned_hits_carry_exact_scores() {
     );
     for user in [0usize, 21] {
         let pruned = index.top_items(user, 5, 1).expect("pruned");
-        let full = exhaustive
-            .top_items(user, model.n_items(), None)
-            .expect("exhaustive full ranking");
+        let full = exhaustive(&model, user, model.n_items());
         for hit in &pruned {
             let exact = full
                 .iter()

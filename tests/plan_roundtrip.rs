@@ -3,7 +3,7 @@
 //! The execution-plan IR travels over two wire formats: the standalone
 //! `MGBRPLAN` container ([`mgbr_plan::plan_to_bytes`]) and the plan
 //! section embedded in `MGBRFRZN` v2 artifacts. This suite pins down
-//! the three guarantees both must keep:
+//! the two guarantees both must keep:
 //!
 //! 1. **Round-trip fidelity** — a decoded plan is structurally equal to
 //!    the original *and* executes bit-identically on the tensor
@@ -12,11 +12,6 @@
 //! 2. **Fail-closed loading** — any single corrupted byte and any
 //!    truncation yields a typed [`CheckpointError`], never a malformed
 //!    plan reaching the interpreter.
-//! 3. **Backward compatibility** — `MGBRFRZN` v1 fixtures (written by
-//!    the pre-IR serializer) still load, upgrade to a plan, and score
-//!    bitwise-identically to a fresh same-seed model.
-
-use std::path::PathBuf;
 
 use mgbr_core::{FrozenModel, Mgbr, MgbrConfig, MgbrVariant};
 use mgbr_data::{synthetic, SyntheticConfig};
@@ -136,54 +131,6 @@ fn corrupted_v2_artifacts_fail_closed() {
                 Err(CheckpointError::Format(_))
             ),
             "prefix {len}: truncated artifact must fail closed"
-        );
-    }
-}
-
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .join(name)
-}
-
-/// The checked-in v1 fixtures were written by the pre-IR serializer
-/// from fresh same-seed models, so a correct v1 upgrade (legacy fields
-/// → spec → re-lowered plan → canonical parameter order) scores
-/// bitwise-identically to freezing the same model today.
-#[test]
-fn v1_fixtures_load_and_score_bitwise_like_a_fresh_freeze() {
-    for (name, variant) in [
-        ("frozen_v1_full.bin", MgbrVariant::Full),
-        ("frozen_v1_noshared.bin", MgbrVariant::NoShared),
-        ("frozen_v1_generic.bin", MgbrVariant::GenericGates),
-    ] {
-        let old = FrozenModel::load_from_file(fixture(name))
-            .unwrap_or_else(|e| panic!("{name} must keep loading: {e}"));
-        let fresh = model(variant).freeze();
-        assert_eq!(old.variant(), fresh.variant(), "{name} variant label");
-        assert_eq!(old.d(), fresh.d(), "{name} d");
-        assert_eq!(old.n_users(), fresh.n_users(), "{name} |U|");
-        assert_eq!(old.n_items(), fresh.n_items(), "{name} |I|");
-        assert_eq!(
-            old.plan(),
-            fresh.plan(),
-            "{name} must upgrade to the canonical plan"
-        );
-
-        let ws = Workspace::new();
-        let idx: Vec<usize> = (0..12).collect();
-        for user in [0usize, 3, 7] {
-            assert_eq!(
-                bits(&old.logits_a(&ws, user, &idx)),
-                bits(&fresh.logits_a(&ws, user, &idx)),
-                "{name} task A user {user}"
-            );
-        }
-        let pidx: Vec<usize> = (1..9).collect();
-        assert_eq!(
-            bits(&old.logits_b(&ws, 2, 4, &pidx)),
-            bits(&fresh.logits_b(&ws, 2, 4, &pidx)),
-            "{name} task B"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Golden serving-parity suite: the tape-free frozen path must produce
 //! **bitwise identical** scores to the training-path scorer — for every
 //! ablation variant, at several thread counts, through the on-disk
-//! artifact, and through every serving front-end (direct scorer,
-//! retriever chunks, micro-batcher).
+//! artifact, and through every serving path (direct scorer, the item
+//! index's chunked full probe, a one-worker batching pool).
 //!
 //! This is the headline invariant of the serving subsystem: if any of
 //! these fail, frozen deployments would silently drift from what was
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mgbr_core::{FrozenModel, Mgbr, MgbrConfig, MgbrVariant};
 use mgbr_data::{synthetic, SyntheticConfig};
 use mgbr_eval::GroupBuyScorer;
-use mgbr_serve::{BatcherConfig, MicroBatcher, Retriever, Scorer};
+use mgbr_serve::{IndexConfig, ItemIndex, PoolConfig, Scorer, WorkerPool};
 use mgbr_tensor::{set_threads, Workspace};
 
 fn build(variant: MgbrVariant) -> Mgbr {
@@ -121,29 +121,37 @@ fn fused_serving_plans_match_unfused_through_the_artifact() {
 
 #[test]
 fn every_serving_front_end_agrees() {
-    // Direct scorer, chunked retriever, and the micro-batcher all sit on
-    // the same row-local forward, so all must agree bitwise.
+    // Direct scorer, the index's chunked full probe, and a one-worker
+    // batching pool all sit on the same row-local forward, so all must
+    // agree bitwise.
     let model = build(MgbrVariant::Full);
     let frozen = Arc::new(model.freeze());
     let direct = Scorer::new(Arc::clone(&frozen));
-    let retriever = Retriever::with_chunk(Arc::clone(&frozen), 4);
-    let batcher = MicroBatcher::new(Arc::clone(&frozen), BatcherConfig::default());
+    let index = ItemIndex::build(
+        Arc::clone(&frozen),
+        IndexConfig {
+            chunk: 4,
+            ..IndexConfig::default()
+        },
+    );
+    let pool = WorkerPool::new(
+        Arc::clone(&frozen),
+        PoolConfig {
+            workers: 1,
+            ..PoolConfig::default()
+        },
+    );
 
     let user = 2usize;
-    let hits = retriever
-        .top_items(user, frozen.n_items(), None)
+    let hits = index
+        .top_items(user, frozen.n_items(), index.n_clusters())
         .expect("retrieval");
     assert_eq!(hits.len(), frozen.n_items());
     for hit in &hits {
         let d = direct.score_item(user, hit.id).expect("direct score");
-        let b = batcher.score_item(user, hit.id).expect("batched score");
-        assert_eq!(
-            hit.score.to_bits(),
-            d.to_bits(),
-            "retriever item {}",
-            hit.id
-        );
-        assert_eq!(b.to_bits(), d.to_bits(), "batcher item {}", hit.id);
+        let b = pool.score_item(user, hit.id).expect("batched score");
+        assert_eq!(hit.score.to_bits(), d.to_bits(), "index item {}", hit.id);
+        assert_eq!(b.to_bits(), d.to_bits(), "pool item {}", hit.id);
     }
     // Retrieval order is a valid descending ranking with stable ties.
     for w in hits.windows(2) {
@@ -152,4 +160,13 @@ fn every_serving_front_end_agrees() {
             "retrieval order must be descending"
         );
     }
+    // ...and it is the exhaustive ranking: the whole catalog scored by
+    // one `logits_a` call, sorted descending with ties to the lower id.
+    let items: Vec<usize> = (0..frozen.n_items()).collect();
+    let scores = frozen.logits_a(&Workspace::new(), user, &items);
+    let mut order = items;
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    let got: Vec<(usize, u32)> = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
+    let want: Vec<(usize, u32)> = order.iter().map(|&i| (i, scores[i].to_bits())).collect();
+    assert_eq!(got, want, "full probe must be the exhaustive ranking");
 }

@@ -184,7 +184,7 @@ fn exhausted_recoveries_fail_closed_and_preserve_checkpoint() {
     let mut fresh = Mgbr::new(MgbrConfig::tiny(), &ds);
     let loaded = load_checkpoint_from_file(&mut fresh.store, &path)
         .expect("last good checkpoint must stay loadable");
-    let state = loaded.state.expect("v2 checkpoint carries state");
+    let state = loaded.state;
     assert_eq!(state.epoch, 1, "checkpoint covers the one clean epoch");
     assert!(fresh.store.all_finite());
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,7 +238,7 @@ fn recovered_run_checkpoints_remain_usable() {
 
     let mut fresh = Mgbr::new(MgbrConfig::tiny(), &ds);
     let loaded = load_checkpoint_from_file(&mut fresh.store, &path).unwrap();
-    assert_eq!(loaded.state.expect("v2 state").epoch, 2);
+    assert_eq!(loaded.state.epoch, 2);
     assert_eq!(params_of(&model.store), params_of(&fresh.store));
     let _ = std::fs::remove_dir_all(&dir);
 }
